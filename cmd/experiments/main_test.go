@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,13 +17,12 @@ import (
 // duration-independent (every run owns its engine and seeded rand).
 const goldenDuration = 30 * sim.Second
 
-// TestParallelMatchesSerial is the golden test for both execution axes: the
+// TestParallelMatchesSerial is the golden test for the execution axis: the
 // rendered tables and figures must be byte-identical whether the work runs
-// serially or on a saturated pool, and whether the engine's event queue is
-// the binary heap or the timing wheel.
+// serially or on a saturated pool.
 func TestParallelMatchesSerial(t *testing.T) {
-	render := func(workers int, queue sim.QueueKind) []byte {
-		set, err := computeExperiments(1, goldenDuration, queue, workers, false, nil)
+	render := func(workers int) []byte {
+		set, err := computeExperiments(1, goldenDuration, workers, false, nil)
 		if err != nil {
 			t.Fatalf("computeExperiments: %v", err)
 		}
@@ -29,27 +31,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
-	serial := render(1, sim.QueueHeap)
-	for _, alt := range []struct {
-		name    string
-		workers int
-		queue   sim.QueueKind
-	}{
-		{"parallel", 8, sim.QueueHeap},
-		{"wheel-parallel", 8, sim.QueueWheel},
-	} {
-		got := render(alt.workers, alt.queue)
-		if !bytes.Equal(serial, got) {
-			sl, pl := bytes.Split(serial, []byte("\n")), bytes.Split(got, []byte("\n"))
-			for i := 0; i < len(sl) && i < len(pl); i++ {
-				if !bytes.Equal(sl[i], pl[i]) {
-					t.Fatalf("%s output diverges at line %d:\nserial: %s\n%s: %s",
-						alt.name, i+1, sl[i], alt.name, pl[i])
-				}
+	serial, parallel := render(1), render(8)
+	if !bytes.Equal(serial, parallel) {
+		sl, pl := bytes.Split(serial, []byte("\n")), bytes.Split(parallel, []byte("\n"))
+		for i := 0; i < len(sl) && i < len(pl); i++ {
+			if !bytes.Equal(sl[i], pl[i]) {
+				t.Fatalf("output diverges at line %d:\nserial:   %s\nparallel: %s", i+1, sl[i], pl[i])
 			}
-			t.Fatalf("%s output lengths differ: serial %d lines, %s %d lines",
-				alt.name, len(sl), alt.name, len(pl))
 		}
+		t.Fatalf("output lengths differ: serial %d lines, parallel %d lines", len(sl), len(pl))
 	}
 }
 
@@ -57,7 +47,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // evaluation trace plus per-section timings, with sane totals.
 func TestBenchReportShape(t *testing.T) {
 	bench := &benchReport{}
-	set, err := computeExperiments(1, goldenDuration, sim.QueueHeap, 2, false, bench)
+	set, err := computeExperiments(1, goldenDuration, 2, false, bench)
 	if err != nil {
 		t.Fatalf("computeExperiments: %v", err)
 	}
@@ -97,7 +87,7 @@ func TestBenchReportShape(t *testing.T) {
 // and replayed from disk.
 func TestSpillMatchesMemory(t *testing.T) {
 	render := func(spill bool) []byte {
-		set, err := computeExperiments(1, goldenDuration, sim.QueueHeap, 4, spill, nil)
+		set, err := computeExperiments(1, goldenDuration, 4, spill, nil)
 		if err != nil {
 			t.Fatalf("computeExperiments(spill=%v): %v", spill, err)
 		}
@@ -147,6 +137,41 @@ func TestWarnDropped(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("warning output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestProfilesInEveryMode: -cpuprofile and -memprofile wrap the mode
+// dispatch, so a fleet run (which returns before the experiments path)
+// still leaves both profiles behind.
+func TestProfilesInEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	for name, v := range map[string]string{
+		"fleet": "true", "hosts": "4", "fleet-duration": "50ms", "fleet-workers": "1",
+		"cpuprofile": cpu, "memprofile": mem,
+	} {
+		old := flag.Lookup(name).Value.String()
+		if err := flag.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { flag.Set(name, old) })
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	code := run()
+	os.Stdout = stdout
+	if code != 0 {
+		t.Fatalf("fleet run exited %d", code)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", path, err)
 		}
 	}
 }

@@ -265,7 +265,7 @@ func runServe(addr string, p analysis.Pipeline) int {
 	log.Printf("timerstat -serve %s", v)
 	fmt.Printf("listening on http://%s\n", ln.Addr())
 	srv := serve.New(serve.Options{Pipeline: p, Version: v})
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -293,6 +293,17 @@ func runServe(addr string, p analysis.Pipeline) int {
 	records, streams := srv.FinalMerge()
 	log.Printf("timerstat -serve: final merge: %d records across %d streams", records, streams)
 	return 0
+}
+
+// newHTTPServer wraps h in an http.Server with the service's read and idle
+// timeouts, so slow or stalled clients cannot hold connections open.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serve.ReadHeaderTimeout,
+		ReadTimeout:       serve.ReadTimeout,
+		IdleTimeout:       serve.IdleTimeout,
+	}
 }
 
 func main() {

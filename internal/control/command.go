@@ -37,14 +37,11 @@ const (
 	// KindCoalesce sets a host's periodic-timer coalescing window to Arg
 	// nanoseconds (fleet.DirCoalesce).
 	KindCoalesce
-	// KindQueue stages an engine event-queue swap to Arg
-	// (sim.QueueKind). It cannot rebuild live engines, so it takes
-	// effect at the next checkpoint/resume boundary — and because traces
-	// are byte-identical across queue kinds, the swap never changes
-	// digests, only the queue implementation the resumed run executes on.
-	KindQueue
 
-	kindEnd // one past the last valid kind
+	// kindEnd is one past the last valid kind. Kind values are the TCMD
+	// wire bytes, so existing kinds never move. Value 6 belonged to the
+	// retired event-queue swap; logs that still carry it fail Replay.
+	kindEnd
 )
 
 // String names the kind for logs and patches.
@@ -60,8 +57,6 @@ func (k Kind) String() string {
 		return "policy"
 	case KindCoalesce:
 		return "coalesce"
-	case KindQueue:
-		return "queue"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

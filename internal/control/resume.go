@@ -46,11 +46,19 @@ func (p *Plane) Checkpoint(label string) *trace.Checkpoint {
 // Replay builds a plane that will re-apply a recorded command log at the
 // original boundaries: the log is preloaded as the pending queue with its
 // stamps intact, so advancing the plane reproduces the recorded run bit
-// for bit. Commands enqueued afterwards continue the Seq sequence.
+// for bit. Commands enqueued afterwards continue the Seq sequence. Every
+// logged command passes the checks Enqueue applies; the first that fails
+// is reported by its record index.
 func Replay(spec Spec, log []Command, opts ...Option) (*Plane, error) {
 	p, err := NewPlane(spec, opts...)
 	if err != nil {
 		return nil, err
+	}
+	for i, c := range log {
+		if reason := p.validate(c); reason != "" {
+			p.Abort()
+			return nil, fmt.Errorf("control: command log record %d (seq %d, %s): %s", i, c.Seq, c.Kind, reason)
+		}
 	}
 	p.queue = append(p.queue, log...)
 	for _, c := range log {

@@ -127,33 +127,68 @@ func TestResumeContinuesSteering(t *testing.T) {
 	}
 }
 
-// TestQueueSwapAcrossResume: a KindQueue command stages the swap; resume
-// rebuilds on the new implementation; the digest does not move (traces are
-// byte-identical across queue kinds — the pinned PR-3 invariant).
-func TestQueueSwapAcrossResume(t *testing.T) {
-	p := mustPlane(t, testSpec())
-	script(t, p)
-	if ok, reason := p.Enqueue(Command{Kind: KindQueue, Host: -1, Arg: int64(sim.QueueWheel), Window: 35}); !ok {
-		t.Fatalf("queue swap rejected: %s", reason)
-	}
-	runToWindow(t, p, 40)
-	if got := p.Spec().Queue; got != "wheel" {
-		t.Fatalf("swap not staged: spec queue %q", got)
-	}
-	cp := p.Checkpoint("swap")
-	p.Finish()
-	want := p.Fleet().Digest()
+// TestResumeIgnoresRetiredQueueField: checkpoints written before the
+// engine had a single event queue carry "queue":"wheel" in their config.
+// The field no longer exists, so it is ignored, and the checkpoint resumes
+// to the uninterrupted digest.
+func TestResumeIgnoresRetiredQueueField(t *testing.T) {
+	cp, want := checkpointAt(t, 40)
+	cp.Config = append([]byte(`{"queue":"wheel",`), cp.Config[1:]...)
 
-	r, err := Resume(cp)
-	if err != nil {
-		t.Fatalf("resume on wheel: %v", err)
+	var buf bytes.Buffer
+	if err := trace.WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	if got := r.Spec().Queue; got != "wheel" {
-		t.Fatalf("resumed spec queue %q, want wheel", got)
+	cp2, err := trace.ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	r, err := Resume(cp2, WithWorkers(2))
+	if err != nil {
+		t.Fatalf("resume with a retired queue field: %v", err)
 	}
 	r.Finish()
 	if got := r.Fleet().Digest(); got != want {
-		t.Fatalf("queue swap moved the digest: %016x != %016x", got, want)
+		t.Fatalf("resumed digest %016x != uninterrupted %016x", got, want)
+	}
+}
+
+// TestReplayRejectsBadLog: a well-framed command log holding a command
+// Enqueue would refuse — a host beyond the fleet, the retired queue kind,
+// the zero kind — fails Replay and Resume with an error naming the record,
+// instead of panicking or being skipped at its window.
+func TestReplayRejectsBadLog(t *testing.T) {
+	good := Command{Seq: 1, Window: 5, Kind: KindPolicy, Host: -1, Arg: 1}
+	cases := []struct {
+		name string
+		bad  Command
+		want string
+	}{
+		{"host out of range", Command{Seq: 2, Window: 10, Kind: KindKill, Host: 5000}, "host index 5000 out of range"},
+		{"retired queue kind", Command{Seq: 2, Window: 10, Kind: 6, Host: -1, Arg: 1}, "unknown command kind 6"},
+		{"zero kind", Command{Seq: 2, Window: 10, Kind: 0, Host: -1}, "unknown command kind 0"},
+		{"bad argument", Command{Seq: 2, Window: 10, Kind: KindSpike, Host: -1, Arg: 0, Dur: 1}, "spike factor"},
+	}
+	for _, tc := range cases {
+		log, err := DecodeCommands(EncodeCommands([]Command{good, tc.bad}))
+		if err != nil {
+			t.Fatalf("%s: the log is well framed, decode failed: %v", tc.name, err)
+		}
+		if p, err := Replay(testSpec(), log); err == nil {
+			p.Abort()
+			t.Fatalf("%s: replay accepted the log", tc.name)
+		} else if !strings.Contains(err.Error(), "record 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: replay error %q does not name record 1 and %q", tc.name, err, tc.want)
+		}
+
+		cp, _ := checkpointAt(t, 40)
+		cp.Commands = EncodeCommands([]Command{good, tc.bad})
+		if r, err := Resume(cp); err == nil {
+			r.Abort()
+			t.Fatalf("%s: resume accepted the log", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: resume error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -56,3 +56,28 @@ const (
 	// API.
 	maxCommandBody = 256 << 10
 )
+
+// HTTP server timeouts for a listener serving Server.Handler (timerstat
+// -serve). Without them a client that opens a connection and never
+// finishes its request holds that connection, and its goroutine, forever.
+const (
+	// ReadHeaderTimeout bounds the request header. Every client of this
+	// service (trace.HTTPSink, the dashboard's fetches, curl in the
+	// loopback gate) writes its whole header right after connecting, so
+	// loopback and LAN headers arrive in milliseconds; five seconds is
+	// three orders of magnitude of headroom and still cuts a slowloris
+	// client off quickly.
+	ReadHeaderTimeout = 5 * time.Second
+
+	// ReadTimeout bounds the whole request, header and body. The largest
+	// body accepted is defaultMaxBodyBytes (8 MiB), which a producer on a
+	// slow 1 Mbit/s link sends in about 67 s; two minutes covers that
+	// plus a wait behind defaultIngestConcurrency.
+	ReadTimeout = 2 * time.Minute
+
+	// IdleTimeout retires idle keep-alive connections. It is longer than
+	// the 90 s IdleConnTimeout of net/http's default transport, which
+	// trace.HTTPSink uses, so a producer drops an idle connection before
+	// the server does and never sends a POST into a server-side close.
+	IdleTimeout = 2 * time.Minute
+)

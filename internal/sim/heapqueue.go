@@ -9,8 +9,6 @@ type heapQueue struct {
 	items []*event
 }
 
-func (h *heapQueue) name() string { return "heap" }
-
 func (h *heapQueue) len() int { return len(h.items) }
 
 func (h *heapQueue) push(n *event) {
@@ -54,12 +52,6 @@ func (h *heapQueue) remove(n *event) {
 		h.up(i)
 	}
 	n.index = -1
-}
-
-func (h *heapQueue) forEach(fn func(*event)) {
-	for _, n := range h.items {
-		fn(n)
-	}
 }
 
 func (h *heapQueue) update(n *event) {

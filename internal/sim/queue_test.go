@@ -2,148 +2,169 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestEventQueueCrossCheck drives a heap-backed and a wheel-backed engine
-// through the same deterministic stream of 10k mixed At/Cancel/Reschedule
-// operations and requires identical firing schedules — the (when, seq)
-// total order that makes traces byte-identical across queue kinds.
+// refEntry is one pending event in refQueue.
+type refEntry struct {
+	when  Time
+	seq   uint64
+	label int
+}
+
+// refQueue is the cross-check's reference model: a slice kept sorted by
+// (when, seq), the engine's documented dequeue order.
+type refQueue []refEntry
+
+func (q *refQueue) push(x refEntry) {
+	i := sort.Search(len(*q), func(i int) bool {
+		y := (*q)[i]
+		return y.when > x.when || (y.when == x.when && y.seq > x.seq)
+	})
+	*q = append(*q, refEntry{})
+	copy((*q)[i+1:], (*q)[i:])
+	(*q)[i] = x
+}
+
+// remove deletes the entry with the given label, reporting whether it was
+// pending.
+func (q *refQueue) remove(label int) bool {
+	for i, x := range *q {
+		if x.label == label {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (q *refQueue) pop() refEntry {
+	x := (*q)[0]
+	*q = (*q)[1:]
+	return x
+}
+
+// TestEventQueueCrossCheck drives the engine through a deterministic stream
+// of 10k mixed At/Cancel/Reschedule/Step operations and checks every firing,
+// every Cancel verdict and the pending count against refQueue.
 func TestEventQueueCrossCheck(t *testing.T) {
 	type firing struct {
 		at    Time
 		label int
 	}
-	run := func(kind QueueKind) ([]firing, Stats) {
-		const ops = 10000
-		rng := rand.New(rand.NewSource(99))
-		e := NewEngine(0, WithEventQueue(kind))
-		var log []firing
-		var handles []Event
-		label := 0
-		for i := 0; i < ops; i++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				// Schedule with a spread of horizons: same-instant ties,
-				// sub-tick deltas, and multi-level wheel distances.
-				label++
-				l := label
-				var d Duration
-				switch rng.Intn(4) {
-				case 0:
-					d = 0 // ties at the current instant
-				case 1:
-					d = Duration(rng.Int63n(int64(2 * Millisecond)))
-				case 2:
-					d = Duration(rng.Int63n(int64(5 * Second)))
-				default:
-					d = Duration(rng.Int63n(int64(10 * Minute)))
-				}
-				handles = append(handles, e.After(d, "x", func() {
-					log = append(log, firing{e.Now(), l})
-				}))
-			case r < 7 && len(handles) > 0:
-				// Cancel a random handle; stale ones must be no-ops.
-				e.Cancel(handles[rng.Intn(len(handles))])
-			case r < 9 && len(handles) > 0:
-				// Reschedule a random still-pending handle, earlier or later.
-				if h := handles[rng.Intn(len(handles))]; h.Pending() {
-					e.Reschedule(h, e.Now().Add(Duration(rng.Int63n(int64(30*Second)))))
-				}
+	const ops = 10000
+	rng := rand.New(rand.NewSource(99))
+	e := NewEngine(0)
+	var model refQueue
+	var seq uint64
+	var got, want []firing
+	var handles []Event
+	canceled := uint64(0)
+	for i := 0; i < ops; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			// Schedule with a spread of horizons: same-instant ties,
+			// sub-millisecond deltas, and seconds to minutes out.
+			l := len(handles)
+			var d Duration
+			switch rng.Intn(4) {
+			case 0:
+				d = 0 // ties at the current instant
+			case 1:
+				d = Duration(rng.Int63n(int64(2 * Millisecond)))
+			case 2:
+				d = Duration(rng.Int63n(int64(5 * Second)))
 			default:
-				e.Step()
+				d = Duration(rng.Int63n(int64(10 * Minute)))
+			}
+			handles = append(handles, e.After(d, "x", func() {
+				got = append(got, firing{e.Now(), l})
+			}))
+			seq++
+			model.push(refEntry{when: e.Now().Add(d), seq: seq, label: l})
+		case r < 7 && len(handles) > 0:
+			// Cancel a random handle; stale ones must be no-ops.
+			l := rng.Intn(len(handles))
+			ok := e.Cancel(handles[l])
+			if wantOK := model.remove(l); ok != wantOK {
+				t.Fatalf("op %d: Cancel(%d) = %v, model says %v", i, l, ok, wantOK)
+			}
+			if ok {
+				canceled++
+			}
+		case r < 9 && len(handles) > 0:
+			// Reschedule a random still-pending handle, earlier or later.
+			l := rng.Intn(len(handles))
+			if h := handles[l]; h.Pending() {
+				at := e.Now().Add(Duration(rng.Int63n(int64(30 * Second))))
+				e.Reschedule(h, at)
+				if !model.remove(l) {
+					t.Fatalf("op %d: handle %d pending in the engine but not the model", i, l)
+				}
+				seq++
+				model.push(refEntry{when: at, seq: seq, label: l})
+			}
+		default:
+			if ran := e.Step(); ran != (len(model) > 0) {
+				t.Fatalf("op %d: Step = %v with %d modelled events pending", i, ran, len(model))
+			}
+			if len(model) > 0 {
+				x := model.pop()
+				want = append(want, firing{x.when, x.label})
 			}
 		}
-		e.RunAll()
-		return log, e.Stats()
-	}
-
-	heapLog, heapStats := run(QueueHeap)
-	wheelLog, wheelStats := run(QueueWheel)
-	if len(heapLog) == 0 {
-		t.Fatal("no events fired; the cross-check exercised nothing")
-	}
-	if len(heapLog) != len(wheelLog) {
-		t.Fatalf("firing counts differ: heap %d, wheel %d", len(heapLog), len(wheelLog))
-	}
-	for i := range heapLog {
-		if heapLog[i] != wheelLog[i] {
-			t.Fatalf("firing %d differs: heap %+v, wheel %+v", i, heapLog[i], wheelLog[i])
+		if e.Pending() != len(model) {
+			t.Fatalf("op %d: engine has %d pending, model %d", i, e.Pending(), len(model))
 		}
-	}
-	if heapStats != wheelStats {
-		t.Fatalf("stats differ: heap %+v, wheel %+v", heapStats, wheelStats)
-	}
-}
-
-// TestWheelQueueFarHorizon exercises the outer wheels and the beyond-horizon
-// clamp: events farther than the wheel's direct 2^32-tick span must still
-// fire, in order, and never early.
-func TestWheelQueueFarHorizon(t *testing.T) {
-	e := NewEngine(0, WithEventQueue(QueueWheel))
-	var order []int
-	at := make(map[int]Time)
-	// Distances chosen to land in each wheel level and beyond the horizon.
-	horizon := Duration(wheelHorizon) << wheelShift
-	delays := []Duration{
-		Millisecond,           // tv1
-		500 * Millisecond,     // tvn[0]
-		30 * Second,           // tvn[1]
-		20 * Minute,           // tvn[2]
-		30 * Hour,             // tvn[3]
-		horizon + 24*Hour,     // clamped, one re-cascade
-		horizon + 40*24*Hour,  // clamped, several re-cascades
-		2*horizon + 7*24*Hour, // clamped repeatedly
-	}
-	for i, d := range delays {
-		i, d := i, d
-		e.After(d, "far", func() {
-			order = append(order, i)
-			at[i] = e.Now()
-		})
 	}
 	e.RunAll()
-	if len(order) != len(delays) {
-		t.Fatalf("fired %d of %d events: %v", len(order), len(delays), order)
+	for len(model) > 0 {
+		x := model.pop()
+		want = append(want, firing{x.when, x.label})
 	}
-	for i, d := range delays {
-		if order[i] != i {
-			t.Fatalf("out of order: %v", order)
+	if len(want) == 0 {
+		t.Fatal("no events fired; the cross-check exercised nothing")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("firing counts differ: engine %d, model %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d differs: engine %+v, model %+v", i, got[i], want[i])
 		}
-		if at[i] != Time(d) {
-			t.Fatalf("event %d fired at %v, want %v (early/late delivery)", i, at[i], Time(d))
-		}
+	}
+	if st := e.Stats(); st.Events != uint64(len(want)) || st.Canceled != canceled {
+		t.Fatalf("stats = %+v, want %d events and %d cancels", st, len(want), canceled)
 	}
 }
 
 // TestEngineZeroAllocSteadyState is the acceptance guard: once the freelist
-// is warm, the At+Step hot path must run without a single heap allocation,
-// on both queue implementations. Run under -count=1 in CI (scripts/check.sh)
-// so a regression fails the build.
+// is warm, the At+Step hot path must run without a single heap allocation.
+// Run under -count=1 in CI (scripts/check.sh) so a regression fails the
+// build.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(0, WithEventQueue(kind))
-		fn := func() {}
-		// Warm the freelist and the heap queue's backing slice.
-		for i := 0; i < 64; i++ {
-			e.After(Duration(i)*Microsecond, "warm", fn)
+	e := NewEngine(0)
+	fn := func() {}
+	// Warm the freelist and the heap queue's backing slice.
+	for i := 0; i < 64; i++ {
+		e.After(Duration(i)*Microsecond, "warm", fn)
+	}
+	e.RunAll()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.After(50*Microsecond, "hot", fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Errorf("At+Step steady state allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ev := e.After(50*Microsecond, "hot", fn)
+		e.Reschedule(ev, e.Now().Add(80*Microsecond))
+		if !e.Cancel(ev) {
+			t.Fatal("cancel failed")
 		}
-		e.RunAll()
-		if allocs := testing.AllocsPerRun(1000, func() {
-			e.After(50*Microsecond, "hot", fn)
-			e.Step()
-		}); allocs != 0 {
-			t.Errorf("%v: At+Step steady state allocates %.1f objects/op, want 0", kind, allocs)
-		}
-		if allocs := testing.AllocsPerRun(1000, func() {
-			ev := e.After(50*Microsecond, "hot", fn)
-			e.Reschedule(ev, e.Now().Add(80*Microsecond))
-			if !e.Cancel(ev) {
-				t.Fatal("cancel failed")
-			}
-		}); allocs != 0 {
-			t.Errorf("%v: After+Reschedule+Cancel allocates %.1f objects/op, want 0", kind, allocs)
-		}
+	}); allocs != 0 {
+		t.Errorf("After+Reschedule+Cancel allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -196,36 +217,28 @@ func TestStaleHandleSafety(t *testing.T) {
 }
 
 func BenchmarkEngineScheduleFire(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngine(0, WithEventQueue(kind))
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.After(50*Microsecond, "bench", fn)
-				e.Step()
-			}
-		})
+	e := NewEngine(0)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(50*Microsecond, "bench", fn)
+		e.Step()
 	}
 }
 
 // BenchmarkEnginePendingLoad measures scheduling against a populated queue,
-// where the heap pays O(log n) sift costs and the wheel stays O(1).
+// where each push and cancel pays O(log n) sift costs.
 func BenchmarkEnginePendingLoad(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngine(0, WithEventQueue(kind))
-			fn := func() {}
-			for i := 0; i < 4096; i++ {
-				e.After(Duration(i+1)*Millisecond, "load", fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := e.After(Duration(i%4000)*Millisecond+Microsecond, "bench", fn)
-				e.Cancel(ev)
-			}
-		})
+	e := NewEngine(0)
+	fn := func() {}
+	for i := 0; i < 4096; i++ {
+		e.After(Duration(i+1)*Millisecond, "load", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := e.After(Duration(i%4000)*Millisecond+Microsecond, "bench", fn)
+		e.Cancel(ev)
 	}
 }

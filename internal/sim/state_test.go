@@ -2,12 +2,12 @@ package sim
 
 import "testing"
 
-// TestStateQueueKindIndependent pins the checkpoint contract: two engines
-// with the same history must export identical EngineState regardless of the
-// event-queue implementation behind them.
-func TestStateQueueKindIndependent(t *testing.T) {
-	build := func(k QueueKind) *Engine {
-		e := NewEngine(7, WithEventQueue(k))
+// TestStateReproducible pins the checkpoint contract: two engines with the
+// same history must export identical EngineState, and taking the state must
+// not disturb the queue.
+func TestStateReproducible(t *testing.T) {
+	build := func() *Engine {
+		e := NewEngine(7)
 		for i := 0; i < 200; i++ {
 			d := Duration(e.Rand().Int63n(int64(5 * Second)))
 			e.After(d, "t", func() {})
@@ -18,13 +18,21 @@ func TestStateQueueKindIndependent(t *testing.T) {
 		e.After(2*Minute, "far", func() {})
 		return e
 	}
-	h := build(QueueHeap).State()
-	w := build(QueueWheel).State()
-	if h != w {
-		t.Fatalf("state differs across queue kinds:\nheap:  %+v\nwheel: %+v", h, w)
+	a, b := build(), build()
+	sa := a.State()
+	if sb := b.State(); sa != sb {
+		t.Fatalf("state differs for equal histories:\n%+v\n%+v", sa, sb)
 	}
-	if h.Pending == 0 || h.EventsHash == 0 {
-		t.Fatalf("degenerate state: %+v", h)
+	if sa.Pending == 0 || sa.EventsHash == 0 {
+		t.Fatalf("degenerate state: %+v", sa)
+	}
+	if again := a.State(); again != sa {
+		t.Fatalf("State disturbed the engine:\n%+v\n%+v", sa, again)
+	}
+	a.RunAll()
+	b.RunAll()
+	if a.State() != b.State() {
+		t.Fatal("engines diverged after State was taken on one of them")
 	}
 }
 
@@ -108,25 +116,22 @@ func TestStopResume(t *testing.T) {
 	}
 }
 
-// TestForEachPendingOrder: the export walk delivers (when, seq) order on
-// both queue kinds.
+// TestForEachPendingOrder: the export walk delivers (when, seq) order.
 func TestForEachPendingOrder(t *testing.T) {
-	for _, k := range []QueueKind{QueueHeap, QueueWheel} {
-		e := NewEngine(3, WithEventQueue(k))
-		for i := 0; i < 100; i++ {
-			e.After(Duration(e.Rand().Int63n(int64(Minute))), "t", func() {})
+	e := NewEngine(3)
+	for i := 0; i < 100; i++ {
+		e.After(Duration(e.Rand().Int63n(int64(Minute))), "t", func() {})
+	}
+	var last Time
+	n := 0
+	e.ForEachPending(func(when Time, name string) {
+		if when < last {
+			t.Fatalf("out-of-order walk: %v after %v", when, last)
 		}
-		var last Time
-		n := 0
-		e.ForEachPending(func(when Time, name string) {
-			if when < last {
-				t.Fatalf("%s: out-of-order walk: %v after %v", k, when, last)
-			}
-			last = when
-			n++
-		})
-		if n != e.Pending() {
-			t.Fatalf("%s: walked %d of %d pending", k, n, e.Pending())
-		}
+		last = when
+		n++
+	})
+	if n != e.Pending() {
+		t.Fatalf("walked %d of %d pending", n, e.Pending())
 	}
 }
