@@ -24,6 +24,20 @@ type Fleet struct {
 	jobs chan func()
 	// active guards against overlapping sessions (StartSession/Run).
 	active bool
+
+	// Dispatch state, bound once so a window allocates nothing. each
+	// publishes eachFn and resets next before sending jobFn to the pool;
+	// the channel send orders those writes before the workers' reads, and
+	// wg orders the workers' host writes before each returns.
+	jobFn  func() // f.runChunks bound once
+	eachFn func(i int)
+	next   atomic.Int64
+	wg     sync.WaitGroup
+
+	// horizon is the current window's end, read by advanceFn (f.advance
+	// bound once, like Host.deliverFn).
+	horizon   sim.Time
+	advanceFn func(i int)
 }
 
 // RunStats summarizes one Fleet.Run.
@@ -52,7 +66,10 @@ func New(fabric *netsim.Fabric) *Fleet {
 	if !fabric.Frozen() {
 		panic("fleet: fabric must be frozen before New")
 	}
-	return &Fleet{fabric: fabric, byName: map[string]int{}}
+	f := &Fleet{fabric: fabric, byName: map[string]int{}}
+	f.jobFn = f.runChunks
+	f.advanceFn = f.advance
+	return f
 }
 
 // AddHost creates a host with its own engine (seeded independently), kernel
@@ -108,7 +125,10 @@ const eachChunk = 16
 // exact serial order — the baseline the determinism gate compares against.
 // fn bodies may touch only the indexed host's state plus frozen/immutable
 // fleet state; the goroutinecapture analyzer audits call sites through the
-// (workers, func) parameter pair.
+// (workers, func) parameter pair. A dispatch allocates nothing when fn is
+// pre-bound (TestEachZeroAlloc).
+//
+//lint:allocfree per-window dispatch: bound job, field-held counter and WaitGroup
 func (f *Fleet) each(workers int, fn func(i int)) {
 	n := len(f.hosts)
 	if workers <= 1 || n <= 1 || f.jobs == nil {
@@ -117,38 +137,50 @@ func (f *Fleet) each(workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	job := func() {
-		defer wg.Done()
-		for {
-			base := int(next.Add(eachChunk)) - eachChunk
-			if base >= n {
-				return
-			}
-			hi := base + eachChunk
-			if hi > n {
-				hi = n
-			}
-			for i := base; i < hi; i++ {
-				fn(i)
-			}
-		}
-	}
-	wg.Add(workers)
+	f.eachFn = fn
+	f.next.Store(0)
+	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		f.jobs <- job
+		f.jobs <- f.jobFn
 	}
-	wg.Wait()
+	f.wg.Wait()
+	f.eachFn = nil
 }
 
-// advanceAll moves every host's engine up to (strictly before) horizon in
-// parallel and returns the total events executed.
+// runChunks is the body of jobFn: one worker's share of an each, claiming
+// eachChunk host indices at a time until none remain.
+//
+//lint:allocfree runs once per worker per pooled window
+func (f *Fleet) runChunks() {
+	defer f.wg.Done()
+	n := len(f.hosts)
+	for {
+		base := int(f.next.Add(eachChunk)) - eachChunk
+		if base >= n {
+			return
+		}
+		hi := min(base+eachChunk, n)
+		for i := base; i < hi; i++ {
+			f.eachFn(i)
+		}
+	}
+}
+
+// advance is the body of advanceFn: host i's share of a window.
+//
+//lint:allocfree per-host window advance
+func (f *Fleet) advance(i int) {
+	h := f.hosts[i]
+	h.windowExecuted = h.Eng.AdvanceUntil(f.horizon)
+}
+
+// advanceAll moves every host's engine up to (strictly before) horizon on
+// the given number of workers and returns the total events executed.
+//
+//lint:allocfree per-window advance: the advance function is bound once in New
 func (f *Fleet) advanceAll(workers int, horizon sim.Time) uint64 {
-	f.each(workers, func(i int) {
-		h := f.hosts[i]
-		h.windowExecuted = h.Eng.AdvanceUntil(horizon)
-	})
+	f.horizon = horizon
+	f.each(workers, f.advanceFn)
 	var total uint64
 	for _, h := range f.hosts {
 		total += uint64(h.windowExecuted)
@@ -162,6 +194,8 @@ func (f *Fleet) advanceAll(workers int, horizon sim.Time) uint64 {
 // returns the number of messages moved. Messages addressed to a down host
 // (Host.Kill) are dropped here and counted against the destination's Lost —
 // the wire reached the machine, the machine was off.
+//
+//lint:allocfree per-window barrier; appends reuse the staged/inbox capacity
 func (f *Fleet) route() int {
 	moved := 0
 	for _, h := range f.hosts {

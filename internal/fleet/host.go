@@ -175,6 +175,8 @@ func (h *Host) Send(dst int, kind uint8, id uint64, size int) bool {
 // deliver pops the head of the sorted pending queue and hands it to the
 // model. It is the body of deliverFn and runs as an engine event at the
 // message's DeliverAt.
+//
+//lint:allocfree per-message delivery
 func (h *Host) deliver() {
 	m := h.inbox[h.inboxHead]
 	h.inboxHead++

@@ -20,7 +20,7 @@ import (
 // watchdog, service delay, occasional disk I/O.
 type webserverModel struct {
 	serviceMean sim.Duration
-	watchPool   []*jiffies.Timer
+	reqPool     []*webRequest
 	nreq        uint64
 }
 
@@ -36,36 +36,67 @@ func (w *webserverModel) Boot(h *Host) {
 	h.Kit.SelectLoop(h.Kern.NewProcess("apache"), serverSelectTimeout, 3*serverSelectTimeout)
 }
 
+//lint:allocfree per-request accept; only a pool miss builds a request
 func (w *webserverModel) OnMessage(h *Host, m Message) {
 	if m.Kind != MsgRequest {
 		return
 	}
 	w.nreq++
 	// Request watchdog: armed per accepted request, canceled when the
-	// response goes out. Timer structs are slab-recycled like the request
-	// structures holding them.
-	var wd *jiffies.Timer
-	if n := len(w.watchPool); n > 0 {
-		wd = w.watchPool[n-1]
-		w.watchPool = w.watchPool[:n-1]
+	// response goes out.
+	var r *webRequest
+	if n := len(w.reqPool); n > 0 {
+		r = w.reqPool[n-1]
+		w.reqPool = w.reqPool[:n-1]
 	} else {
-		wd = h.Kern.KernelTimer("kernel/tcp:request-watchdog", nil)
+		r = w.newRequest(h)
 	}
-	expired := false
-	wd.SetCallback(func() { expired = true }) // request aborted
-	h.Kern.Base().ModTimeout(wd, serverRequestWatchdog)
+	r.expired = false
+	r.src, r.id = int(m.Src), m.ID
+	h.Kern.Base().ModTimeout(r.wd, serverRequestWatchdog)
 
 	if w.nreq%serverDiskEvery == 0 {
 		h.Kit.DiskIO()
 	}
-	src, id := int(m.Src), m.ID
-	h.Eng.After(h.Kit.Exp(w.serviceMean), "httpd:service", func() {
-		if !expired {
-			_ = h.Kern.Base().Del(wd)
-			h.Send(src, MsgResponse, id, responseSize)
-		}
-		w.watchPool = append(w.watchPool, wd)
-	})
+	h.Eng.After(h.Kit.Exp(w.serviceMean), "httpd:service", r.serviceFn)
+}
+
+// webRequest is one accepted request's state: its watchdog timer, whether
+// that watchdog fired, and where the response goes. Request structs are
+// slab-recycled with their timer, and both callbacks are bound once at
+// construction, so serving a request allocates nothing.
+type webRequest struct {
+	w       *webserverModel
+	h       *Host
+	wd      *jiffies.Timer
+	expired bool
+	src     int
+	id      uint64
+
+	serviceFn func() // r.service bound once
+}
+
+// newRequest builds a request struct on a pool miss, a new high-water
+// mark of in-flight requests.
+func (w *webserverModel) newRequest(h *Host) *webRequest {
+	r := &webRequest{w: w, h: h}
+	r.wd = h.Kern.KernelTimer("kernel/tcp:request-watchdog", r.watchdogExpired)
+	r.serviceFn = r.service
+	return r
+}
+
+func (r *webRequest) watchdogExpired() { r.expired = true } // request aborted
+
+// service finishes the request: cancel the watchdog and answer, unless the
+// watchdog already aborted it. Either way the struct goes back to the pool.
+//
+//lint:allocfree per-request completion
+func (r *webRequest) service() {
+	if !r.expired {
+		_ = r.h.Kern.Base().Del(r.wd)
+		r.h.Send(r.src, MsgResponse, r.id, responseSize)
+	}
+	r.w.reqPool = append(r.w.reqPool, r)
 }
 
 // client is one desktop request loop: a thread that thinks, sends a
@@ -80,6 +111,11 @@ type client struct {
 	tries   int
 	waiting bool
 	sentAt  sim.Time // first send of the current request (RTT sampling)
+
+	// Per-client callbacks bound once at Boot, so the request loop
+	// allocates no closures.
+	requestFn func()
+	selectFn  func(kernel.SelectResult)
 }
 
 // desktopModel drives clients against the webserver index range
@@ -120,6 +156,8 @@ func (d *desktopModel) Boot(h *Host) {
 		c.retrans = h.Kern.KernelTimer("kernel/tcp:retransmit", func() {
 			d.retransmit(h, c)
 		})
+		c.requestFn = func() { d.request(h, c) }
+		c.selectFn = func(r kernel.SelectResult) { d.selectDone(h, c, r) }
 		d.clients = append(d.clients, c)
 		d.think(h, c, d.thinkMean)
 	}
@@ -128,15 +166,18 @@ func (d *desktopModel) Boot(h *Host) {
 // think schedules the next request after an exponential pause. While a
 // DirSpike is active the pause shrinks by the spike factor, multiplying
 // the request rate.
+//
+//lint:allocfree per-request think pause; the callback is bound at Boot
 func (d *desktopModel) think(h *Host, c *client, mean sim.Duration) {
 	if d.spikeDiv > 1 && h.Eng.Now() < d.spikeUntil {
 		if mean /= sim.Duration(d.spikeDiv); mean <= 0 {
 			mean = 1
 		}
 	}
-	h.Eng.After(h.Kit.Exp(mean), "browser:think", func() { d.request(h, c) })
+	h.Eng.After(h.Kit.Exp(mean), "browser:think", c.requestFn)
 }
 
+//lint:allocfree per-request send; the select callback is bound at Boot
 func (d *desktopModel) request(h *Host, c *client) {
 	if d.webservers == 0 {
 		return
@@ -153,17 +194,23 @@ func (d *desktopModel) request(h *Host, c *client) {
 	// The titular 30 seconds: armed on every request, nearly always
 	// canceled by the response long before it could fire. Under
 	// PolicyAdaptive the deadline tracks the RTT estimator instead.
-	c.pending = c.th.Select(d.requestTimeout(), func(r kernel.SelectResult) {
-		mean := d.thinkMean
-		if r.TimedOut {
-			// Deadline reached with no response: tear down and back off.
-			delete(d.inflight, c.reqID)
-			c.waiting = false
-			_ = h.Kern.Base().Del(c.retrans)
-			mean += clientGiveUpThink
-		}
-		d.think(h, c, mean)
-	})
+	c.pending = c.th.Select(d.requestTimeout(), c.selectFn)
+}
+
+// selectDone continues the client loop when the request's select returns:
+// early on a response, or at the deadline.
+//
+//lint:allocfree per-request select return
+func (d *desktopModel) selectDone(h *Host, c *client, r kernel.SelectResult) {
+	mean := d.thinkMean
+	if r.TimedOut {
+		// Deadline reached with no response: tear down and back off.
+		delete(d.inflight, c.reqID)
+		c.waiting = false
+		_ = h.Kern.Base().Del(c.retrans)
+		mean += clientGiveUpThink
+	}
+	d.think(h, c, mean)
 }
 
 // retransmit re-sends the outstanding request (packet or response lost, or
@@ -179,6 +226,7 @@ func (d *desktopModel) retransmit(h *Host, c *client) {
 	h.Kern.Base().ModTimeout(c.retrans, clientRetransmitTimeout)
 }
 
+//lint:allocfree per-response wakeup
 func (d *desktopModel) OnMessage(h *Host, m Message) {
 	if m.Kind != MsgResponse {
 		return

@@ -31,7 +31,24 @@ type Session struct {
 	start    sim.Time
 	done     bool
 	finished bool
+
+	// prevEvents is the previous window's event count, the input to the
+	// dispatch gate (see advance). pooled and serial count the windows
+	// each branch ran, for tests.
+	prevEvents     uint64
+	pooled, serial int
 }
+
+// parallelMinEvents is the dispatch threshold: a window goes to the worker
+// pool only when the previous window executed at least this many events.
+// Below it, waking the parked workers costs more than the events take to
+// run. Measured on 2 vCPUs (Go 1.24, workers=2 against workers=1, the same
+// windows paired and bucketed by events per window): at 64 hosts a pooled
+// window costs 1.5–1.6× a serial one at 7 events and still 1.2–1.4× at the
+// 60–82-event jiffy-tick windows, the largest a 64-host fleet has; at 1024
+// hosts the pool breaks even at about 100–135 events and wins 0.82–0.86×
+// at ~290. See DESIGN.md "Fleet-scale parallel simulation".
+const parallelMinEvents = 128
 
 // StartSession prepares an incremental run over [0, end]. It spins up the
 // worker pool (workers > 1) exactly as Run does; the pool lives until
@@ -44,7 +61,9 @@ func (f *Fleet) StartSession(end sim.Time, workers int) *Session {
 		panic("fleet: a session is already active")
 	}
 	f.active = true
-	s := &Session{f: f, end: end, workers: workers}
+	// The first window has no predecessor to judge by; it goes to the pool,
+	// which is what an unbounded fabric's single whole-run window needs.
+	s := &Session{f: f, end: end, workers: workers, prevEvents: parallelMinEvents}
 	s.lookahead, s.bounded = f.fabric.MinLatency()
 	s.stats.Lookahead, s.stats.Bounded = s.lookahead, s.bounded
 	if workers > 1 {
@@ -78,7 +97,7 @@ func (s *Session) Step() bool {
 	case !s.bounded:
 		// No cross-host traffic possible: fully independent hosts.
 		s.stats.Windows++
-		s.stats.Events += f.advanceAll(s.workers, s.end+1)
+		s.stats.Events += s.advance(s.end + 1)
 		s.start = s.end + 1
 		s.done = true
 	case s.lookahead == 0:
@@ -89,7 +108,7 @@ func (s *Session) Step() bool {
 			break
 		}
 		s.stats.Windows++
-		s.stats.Events += f.advanceAll(s.workers, t+1)
+		s.stats.Events += s.advance(t + 1)
 		f.route()
 		s.start = t + 1
 	default:
@@ -102,7 +121,7 @@ func (s *Session) Step() bool {
 			horizon = h
 		}
 		s.stats.Windows++
-		executed := f.advanceAll(s.workers, horizon)
+		executed := s.advance(horizon)
 		s.stats.Events += executed
 		moved := f.route()
 		if executed == 0 && moved == 0 {
@@ -119,6 +138,25 @@ func (s *Session) Step() bool {
 		s.start = horizon
 	}
 	return !s.done
+}
+
+// advance runs one window up to horizon and returns the events it
+// executed. The window goes to the worker pool only when the previous one
+// executed at least parallelMinEvents events; otherwise it runs the
+// workers=1 serial loop. Every host reaches the same horizon either way,
+// so the choice never changes a trace or RunStats.
+//
+//lint:allocfree per-window dispatch decision
+func (s *Session) advance(horizon sim.Time) uint64 {
+	workers := 1
+	if s.workers > 1 && s.prevEvents >= parallelMinEvents {
+		workers = s.workers
+		s.pooled++
+	} else {
+		s.serial++
+	}
+	s.prevEvents = s.f.advanceAll(workers, horizon)
+	return s.prevEvents
 }
 
 // Windows returns the number of windows stepped so far — the keyframe

@@ -103,12 +103,15 @@ type Base struct {
 	jiffy uint64 // jiffies counter: last processed tick
 	nohz  bool
 
-	tickEv sim.Event
-	tickFn func() // b.tick bound once; a method value would allocate per arm
-	nextID uint64
+	tickEv   sim.Event
+	tickFn   func()                  // b.tick bound once; a method value would allocate per arm
+	expireFn func(*timerwheel.Timer) // b.expire bound once; a closure would allocate per tick
+	nextID   uint64
 
 	// nextHeap tracks pending non-deferrable expiries for the dynticks
 	// next-event computation; entries are validated lazily against gen.
+	// Only the nohz path reads it, so only a nohz base fills it: with the
+	// periodic tick every arm would otherwise leave an entry nothing pops.
 	nextHeap expiryHeap
 
 	// RunningTimers counts __run_timers invocations that fired at least one
@@ -127,6 +130,7 @@ func NewBase(eng *sim.Engine, tr trace.Sink, opts ...Option) *Base {
 		o(b)
 	}
 	b.tickFn = b.tick
+	b.expireFn = b.expire
 	b.scheduleTick(b.eng.Now().Add(JiffyDuration))
 	return b
 }
@@ -231,15 +235,18 @@ func (t *Timer) flags() trace.Flags {
 // As in the kernel, callers compute the absolute expiry themselves — which
 // is exactly where the paper's observed up-to-2 ms timeout jitter comes
 // from, since the computation happens partway through a jiffy.
+//
+//lint:allocfree per-arm hot path of every kernel timer; the dynticks heap grows only on a nohz base (TestModDelTickZeroAllocNoHZOff)
 func (b *Base) Mod(t *Timer, expires uint64) {
 	if t.state == StateUninit {
+		//lint:ignore allocfree panic formatting runs once, on a programming error, never in steady state
 		panic(fmt.Sprintf("jiffies: mod_timer on uninitialized timer %q", t.Origin))
 	}
 	t.gen++
 	t.state = StatePending
 	b.wheel.Schedule(&t.entry, expires)
 	t.entry.Payload = t
-	if !t.Deferrable {
+	if b.nohz && !t.Deferrable {
 		b.pushNext(t)
 	}
 	// The traced timeout is relative to *now*, as the instrumentation in
@@ -263,8 +270,11 @@ func (b *Base) ModTimeout(t *Timer, d sim.Duration) {
 // Del is del_timer: cancel the timer if pending. Calling it on an idle timer
 // is explicitly legal (the paper observed repeated deletions of
 // already-deleted timers) and is still logged as an access.
+//
+//lint:allocfree per-cancel hot path: wheel unlink plus one trace record
 func (b *Base) Del(t *Timer) bool {
 	if t.state == StateUninit {
+		//lint:ignore allocfree panic formatting runs once, on a programming error, never in steady state
 		panic(fmt.Sprintf("jiffies: del_timer on uninitialized timer %q", t.Origin))
 	}
 	t.gen++
@@ -284,20 +294,26 @@ func (b *Base) Del(t *Timer) bool {
 
 // runTimers is __run_timers: called from the tick interrupt, fires all
 // expired callbacks in bottom-half context.
+//
+//lint:allocfree runs on every tick of every host; the expiry callback is bound once in NewBase
 func (b *Base) runTimers() {
-	b.wheel.Advance(b.jiffy, func(e *timerwheel.Timer) {
-		t := e.Payload.(*Timer)
-		t.gen++
-		t.state = StateIdle
-		b.ExpiredCount++
-		if !t.Quiet {
-			b.tr.Log(trace.Record{
-				T: b.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
-				PID: t.PID, Origin: t.originID, Flags: t.flags(),
-			})
-		}
-		t.fn()
-	})
+	b.wheel.Advance(b.jiffy, b.expireFn)
+}
+
+// expire retires one expired timer and runs its callback; it is the body
+// of expireFn.
+func (b *Base) expire(e *timerwheel.Timer) {
+	t := e.Payload.(*Timer)
+	t.gen++
+	t.state = StateIdle
+	b.ExpiredCount++
+	if !t.Quiet {
+		b.tr.Log(trace.Record{
+			T: b.eng.Now(), Op: trace.OpExpire, TimerID: t.id,
+			PID: t.PID, Origin: t.originID, Flags: t.flags(),
+		})
+	}
+	t.fn()
 }
 
 // tick is the periodic timer interrupt.

@@ -332,3 +332,34 @@ func TestTraceAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestModDelTickZeroAllocNoHZOff pins the periodic-tick hot path every
+// kernel.NewLinux base runs: after warm-up a Mod/Del/tick cycle allocates
+// nothing, and the dynticks next-expiry heap, which only the nohz path
+// reads, stays empty.
+func TestModDelTickZeroAllocNoHZOff(t *testing.T) {
+	eng := sim.NewEngine(1)
+	b := NewBase(eng, trace.NewBuffer(0))
+	far, near := &Timer{}, &Timer{}
+	fired := 0
+	b.Init(far, "kernel/far", 0, func() {})
+	b.Init(near, "kernel/near", 0, func() { fired++ })
+	cycle := func() {
+		b.ModTimeout(far, 30*sim.Second)
+		b.ModTimeout(near, JiffyDuration)
+		_ = b.Del(far)
+		eng.Run(eng.Now().Add(2 * JiffyDuration))
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Mod/Del/tick cycle allocates %.1f objects/op, want 0", allocs)
+	}
+	if fired < 1000 {
+		t.Errorf("near timer fired %d times over 1100 cycles", fired)
+	}
+	if n := len(b.nextHeap); n != 0 {
+		t.Errorf("nohz-off base holds %d dynticks heap entries, want 0", n)
+	}
+}

@@ -17,6 +17,12 @@ echo "== parallel determinism golden test =="
 go test -race -count=2 -run 'TestParallelMatchesSerial|TestRunAllDeterministicAcrossWorkers' \
 	./cmd/experiments ./internal/workloads
 
+echo "== fleet dispatch-gate determinism golden test =="
+# A run whose window load crosses the fleet's serial/pooled dispatch
+# threshold in both directions must match the serial run at every worker
+# count, with both dispatch branches exercised.
+go test -race -count=2 -run 'TestDispatchGateDeterminism' ./internal/fleet
+
 echo "== spill-vs-memory determinism golden test =="
 # The streaming trace path (v2 spill files) must render byte-identical
 # tables and figures to the in-memory path.
@@ -32,8 +38,8 @@ go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParal
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # Run WITHOUT -race: the race detector instruments allocations and would
 # make AllocsPerRun report false positives.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc' \
-	./internal/sim ./internal/trace ./internal/analysis
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestEachZeroAlloc|TestModDelTickZeroAllocNoHZOff' \
+	./internal/sim ./internal/trace ./internal/analysis ./internal/fleet ./internal/jiffies
 
 echo "== codec fuzz smoke (10s per format) =="
 go test -run '^$' -fuzz 'FuzzDecode$' -fuzztime=10s ./internal/trace
@@ -49,9 +55,10 @@ go run ./cmd/timerlint ./...
 
 echo "== timerlint allocfree gate (annotated hot paths must have no heap escapes) =="
 # Redundant with the full run above, but asserted separately so an alloc
-# regression on the engine schedule/expire path, the trace encoders, or the
-# analysis per-record fold fails with an unmistakable step name.
-go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/trace ./internal/analysis
+# regression on the engine schedule/expire path, the kernel timer
+# mod/del/tick path, the trace encoders, or the analysis per-record fold
+# fails with an unmistakable step name.
+go run ./cmd/timerlint -run allocfree ./internal/sim ./internal/jiffies ./internal/trace ./internal/analysis
 
 echo "== timerlint serve gates (stream ingest + producer sink) =="
 # The live service and the HTTP producer sink hold the retry/backoff and
@@ -64,7 +71,7 @@ echo "== timerlint fleet gates (alloc-free window advance, no shared-state captu
 # The fleet's worker-pool closures and the netsim fabric they read are the
 # two places a shared-state capture would silently break byte-identical
 # traces; goroutinecapture audits them, allocfree covers the per-window
-# advance path.
+# dispatch, advance and route path and the built-in host models.
 go run ./cmd/timerlint -run allocfree,goroutinecapture ./internal/fleet ./internal/netsim
 
 echo "== timerlint control gates (window-boundary apply path, bounds provenance) =="
