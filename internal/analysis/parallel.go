@@ -72,14 +72,12 @@ func (c *openTracker) observe(r trace.Record) {
 
 // RunParallel executes the pipeline like Run but decodes and analyzes on up
 // to workers goroutines, producing a Report identical to Run's at any
-// worker count. workers < 1 means GOMAXPROCS. Sources without chunked
-// access (anything but Buffer and StreamReader) analyze serially.
+// worker count. workers < 1 means GOMAXPROCS.
 func (p Pipeline) RunParallel(src trace.Source, workers int) (*Report, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cs, ok := src.(trace.ChunkedSource)
-	if !ok || workers == 1 {
+	if workers == 1 {
 		return p.Run(src)
 	}
 
@@ -95,7 +93,7 @@ func (p Pipeline) RunParallel(src trace.Source, workers int) (*Report, error) {
 			defer wg.Done()
 			for b := range ch {
 				for _, r := range b.recs {
-					s.record(r, b.origins, nil)
+					s.record(r, b.origins)
 				}
 				batchPool.Put(b.recs[:0])
 			}
@@ -105,7 +103,7 @@ func (p Pipeline) RunParallel(src trace.Source, workers int) (*Report, error) {
 
 	tracker := openTracker{open: make(map[uint64]bool)}
 	batches := make([][]trace.Record, workers)
-	err := cs.ForEachChunk(workers, func(c trace.Chunk) error {
+	err := src.ForEachChunk(workers, func(c trace.Chunk) error {
 		for w := range batches {
 			if v := batchPool.Get(); v != nil {
 				batches[w] = v.([]trace.Record)[:0]

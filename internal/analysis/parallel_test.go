@@ -227,11 +227,11 @@ func TestShardRecordZeroAlloc(t *testing.T) {
 	// Warm-up: arena blocks, byID, cluster set and histogram bins all exist
 	// after one pass; the steady state must then be allocation-free.
 	for _, r := range recs {
-		sh.record(r, origins, nil)
+		sh.record(r, origins)
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		for _, r := range recs {
-			sh.record(r, origins, nil)
+			sh.record(r, origins)
 		}
 	})
 	if avg != 0 {

@@ -51,28 +51,22 @@ func (pa *Partial) AddChunk(c trace.Chunk) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
 	for _, r := range c.Records {
-		pa.sh.record(r, c.Origins, nil)
+		pa.sh.record(r, c.Origins)
 	}
 	pa.records += uint64(len(c.Records))
 }
 
-// AddSource folds a whole Source, chunk-at-a-time when the source supports
-// it. The error is the source's (decode or IO failure).
+// AddSource folds a whole Source, chunk at a time. The error is the
+// source's (decode or IO failure).
 func (pa *Partial) AddSource(src trace.Source) error {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
-	if cs, ok := src.(trace.ChunkedSource); ok {
-		return cs.ForEachChunk(1, func(c trace.Chunk) error {
-			for _, r := range c.Records {
-				pa.sh.record(r, c.Origins, nil)
-			}
-			pa.records += uint64(len(c.Records))
-			return nil
-		})
-	}
-	return src.ForEach(func(r trace.Record) {
-		pa.sh.record(r, nil, src)
-		pa.records++
+	return src.ForEachChunk(1, func(c trace.Chunk) error {
+		for _, r := range c.Records {
+			pa.sh.record(r, c.Origins)
+		}
+		pa.records += uint64(len(c.Records))
+		return nil
 	})
 }
 

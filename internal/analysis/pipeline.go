@@ -244,38 +244,34 @@ func (s *shard) newTimer(id uint64, name string) *streamTimer {
 	return t
 }
 
-// resolveOrigin resolves an origin ID through a chunk snapshot when one is
-// available (origins non-nil), else through the source.
-func resolveOrigin(origins []string, src trace.Source, id uint32) string {
-	if origins != nil {
-		if int(id) < len(origins) {
-			return origins[id]
-		}
-		return "?"
+// resolveOrigin resolves an origin ID through a chunk's origin snapshot;
+// IDs past its end resolve to "?".
+func resolveOrigin(origins []string, id uint32) string {
+	if int(id) < len(origins) {
+		return origins[id]
 	}
-	return src.OriginName(id)
+	return "?"
 }
 
-// record folds one trace record. origins is the chunk's origin snapshot
-// (src is only consulted when it is nil — the non-chunked fallback).
+// record folds one trace record. origins is the chunk's origin snapshot.
 //
 //lint:allocfree per-record hot path; timer state comes from the block arena and every tally is inline or in a warmed map (TestShardRecordZeroAlloc)
-func (s *shard) record(r trace.Record, origins []string, src trace.Source) {
+func (s *shard) record(r trace.Record, origins []string) {
 	var t *streamTimer
 	if idx, ok := s.byID[r.TimerID]; ok {
 		t = s.timer(idx)
 	} else {
 		//lint:ignore allocfree cold path inlined from newTimer: a timer's first record may grow the arena (one make per 512 timers), amortized to ~0 in allocs_per_record
-		t = s.newTimer(r.TimerID, resolveOrigin(origins, src, r.Origin))
+		t = s.newTimer(r.TimerID, resolveOrigin(origins, r.Origin))
 	}
 	if r.Flags&trace.FlagUser != 0 {
 		t.user = true
 	}
 	if t.originName == "?" {
-		t.originName = resolveOrigin(origins, src, r.Origin)
+		t.originName = resolveOrigin(origins, r.Origin)
 	}
 	s.sum.Accesses++
-	s.clusters[cluster{resolveOrigin(origins, src, r.Origin), r.PID}] = true
+	s.clusters[cluster{resolveOrigin(origins, r.Origin), r.PID}] = true
 	if r.IsUser() {
 		s.sum.UserSpace++
 	} else {
@@ -544,18 +540,12 @@ func (p Pipeline) report(shards []*shard, concurrency int) *Report {
 // never fails.
 func (p Pipeline) Run(src trace.Source) (*Report, error) {
 	sh := p.newShard()
-	var err error
-	if cs, ok := src.(trace.ChunkedSource); ok {
-		err = cs.ForEachChunk(1, func(c trace.Chunk) error {
-			for _, r := range c.Records {
-				sh.record(r, c.Origins, nil)
-			}
-			return nil
-		})
-	} else {
-		err = src.ForEach(func(r trace.Record) { sh.record(r, nil, src) })
-	}
-	if err != nil {
+	if err := src.ForEachChunk(1, func(c trace.Chunk) error {
+		for _, r := range c.Records {
+			sh.record(r, c.Origins)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	sh.fold()

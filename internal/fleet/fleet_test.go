@@ -24,8 +24,9 @@ func testTopology() Topology {
 	}
 }
 
-// runOnce builds the test fleet, runs it, and returns the per-host encoded
-// trace bytes plus the merged analysis summary.
+// runOnce builds the test fleet, runs it, and returns each host's trace
+// dumped as its records with resolved origin names, plus the per-host
+// analysis summaries.
 func runOnce(t *testing.T, top Topology, end sim.Time, workers int) ([][]byte, []analysis.Summary, RunStats) {
 	t.Helper()
 	f := top.Build()
@@ -38,8 +39,8 @@ func runOnce(t *testing.T, top Topology, end sim.Time, workers int) ([][]byte, [
 			t.Fatalf("host %s sink is %T, want *trace.Buffer", h.Name, h.Sink)
 		}
 		var bb bytes.Buffer
-		if err := buf.Encode(&bb); err != nil {
-			t.Fatalf("encode %s: %v", h.Name, err)
+		for _, r := range buf.Records() {
+			fmt.Fprintf(&bb, "%+v %s\n", r, buf.OriginName(r.Origin))
 		}
 		encs[i] = bb.Bytes()
 		sums[i] = analysis.Summarize(buf)

@@ -7,110 +7,56 @@ import (
 	"timerstudy/internal/sim"
 )
 
-// buildEncoded returns a valid encoded trace for corruption tests.
-func buildEncoded(t *testing.T, nrec int) []byte {
-	t.Helper()
-	b := NewBuffer(nrec)
-	o := b.Origin("kernel/x")
-	for i := 0; i < nrec; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: o, Timeout: int64(sim.Second)})
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestRecordSizeGovernsEncoding pins the exported RecordSize constant to the
-// bytes the encoder actually emits: header (20) + length-prefixed origins +
-// RecordSize per record. DESIGN.md §"Trace format" quotes the same constant.
+// payload of a v2 'R' frame: with every record in one chunk, the stream is
+// the header, one 'O' frame, one 'R' frame of RecordSize bytes per record,
+// and the counters footer. DESIGN.md §"Trace format" quotes the same
+// constant.
 func TestRecordSizeGovernsEncoding(t *testing.T) {
 	const nrec = 7
-	b := NewBuffer(nrec)
-	o := b.Origin("kernel/x")
-	for i := 0; i < nrec; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: o})
-	}
 	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	sw := NewStreamWriterSize(&buf, nrec)
+	o := sw.Origin("kernel/x")
+	for i := 0; i < nrec; i++ {
+		sw.Log(Record{T: sim.Time(i), TimerID: 1, Op: OpSet, Origin: o})
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	originBytes := 0
-	for _, name := range []string{"?", "kernel/x"} {
-		originBytes += 4 + len(name)
-	}
-	want := 20 + originBytes + nrec*RecordSize
+	const (
+		originFrame = 1 + 4 + 4 + len("kernel/x")
+		footer      = 1 + countersSize
+	)
+	want := headerSize + originFrame + 1 + 4 + nrec*RecordSize + footer
 	if buf.Len() != want {
 		t.Fatalf("encoded %d bytes, want %d (RecordSize=%d drifted from the encoder?)",
 			buf.Len(), want, RecordSize)
 	}
 }
 
-func TestDecodeTruncatedAtEveryBoundary(t *testing.T) {
-	full := buildEncoded(t, 5)
-	// Any strict prefix must fail cleanly, never panic or succeed.
-	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("decoded a %d-byte prefix of %d bytes", cut, len(full))
-		}
-	}
-	if _, err := Decode(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full stream failed: %v", err)
-	}
-}
-
-func TestDecodeRejectsImplausibleCounts(t *testing.T) {
-	full := buildEncoded(t, 1)
-	// Corrupt the record count to something absurd.
-	for i := 8; i < 16; i++ {
-		full[i] = 0xff
-	}
-	if _, err := Decode(bytes.NewReader(full)); err == nil {
-		t.Fatal("accepted an implausible record count")
-	}
-}
-
-func TestDecodeRejectsWrongVersion(t *testing.T) {
-	full := buildEncoded(t, 1)
-	full[4] = 99
-	if _, err := Decode(bytes.NewReader(full)); err == nil {
-		t.Fatal("accepted a future version")
-	}
-}
-
 func TestEncodeDecodeLargeTrace(t *testing.T) {
-	b := NewBuffer(50_000)
-	for i := 0; i < 50_000; i++ {
-		b.Log(Record{T: sim.Time(i), TimerID: uint64(i % 100), Op: Op(i % 4),
-			Origin: b.Origin("o" + string(rune('a'+i%26)))})
-	}
+	const nrec = 50_000
+	b := NewBuffer(nrec)
 	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	sw := NewStreamWriter(&buf)
+	s := Tee(b, sw)
+	for i := 0; i < nrec; i++ {
+		s.Log(Record{T: sim.Time(i), TimerID: uint64(i % 100), Op: Op(i % 4),
+			Origin: s.Origin("o" + string(rune('a'+i%26)))})
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got, names := replaySerial(t, buf.Bytes())
+	if len(got) != nrec {
+		t.Fatalf("len = %d", len(got))
 	}
-	if got.Len() != 50_000 {
-		t.Fatalf("len = %d", got.Len())
-	}
-	for i := 0; i < 50_000; i += 9973 {
-		if got.Records()[i] != b.Records()[i] {
+	for i := 0; i < nrec; i += 9973 {
+		if got[i] != b.Records()[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
-	}
-}
-
-func TestOriginsSorted(t *testing.T) {
-	b := NewBuffer(1)
-	b.Origin("zzz")
-	b.Origin("aaa")
-	os := b.Origins()
-	for i := 1; i < len(os); i++ {
-		if os[i-1] > os[i] {
-			t.Fatalf("unsorted: %v", os)
+		if want := b.OriginName(got[i].Origin); names[i] != want {
+			t.Fatalf("record %d origin: %q != %q", i, names[i], want)
 		}
 	}
 }

@@ -19,116 +19,78 @@ func mutate(b []byte, i int, v byte) []byte {
 	return out
 }
 
+// decodeAll opens data as a v2 stream and replays every record.
+func decodeAll(data []byte) error {
+	sr, err := NewStreamReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	return sr.ForEach(func(Record) {})
+}
+
 func TestDecodeAdversarial(t *testing.T) {
-	valid := buildEncoded(t, 3)
+	// buildV2(3, 8): header (8 bytes), then an 'O' frame whose u32 count
+	// ends at byte 12 and whose first origin length ends at byte 16.
+	valid := buildV2(t, 3, 8)
+	if recs, _ := replaySerial(t, valid); len(recs) != 3 {
+		t.Fatalf("valid stream replayed %d records, want 3", len(recs))
+	}
 	cases := []struct {
 		name  string
 		input []byte
+		want  string // substring of the expected error
 	}{
-		{"empty", nil},
-		{"bad magic", mutate(valid, 0, 'X')},
-		{"future version", mutate(valid, 4, 99)},
-		{"implausible origin count", mutate(valid, 19, 0xff)},
-		{"origin length over limit", mutate(valid, 20, 0xff)},
-		{"garbage", []byte(strings.Repeat("\xde\xad", 64))},
+		{"empty", nil, "reading header"},
+		{"bad magic", mutate(valid, 0, 'X'), "bad magic"},
+		{"future version", mutate(valid, 4, 99), "not a v2 stream (version 99)"},
+		{"implausible origin count", mutate(valid, 12, 0xff), "implausible origin table"},
+		{"origin length over limit", mutate(valid, 16, 0xff), "implausibly long"},
+		{"garbage", []byte(strings.Repeat("\xde\xad", 64)), "bad magic"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Decode(bytes.NewReader(c.input)); err == nil {
-				t.Fatalf("decoded %q without error", c.name)
+			err := decodeAll(c.input)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want an error containing %q", err, c.want)
 			}
 		})
 	}
 }
 
 // TestDecodeToleratesUnknownOpsAndFlags feeds records whose Op and Flags
-// fields are outside every defined constant: they must decode intact (the
-// analysis layer is responsible for skipping what it does not understand),
-// and stringifying them must not panic.
+// fields are outside every defined constant: they must round-trip intact
+// through the v2 format (the analysis layer is responsible for skipping
+// what it does not understand), and stringifying them must not panic.
 func TestDecodeToleratesUnknownOpsAndFlags(t *testing.T) {
-	b := NewBuffer(4)
-	o := b.Origin("kernel/x")
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	o := sw.Origin("kernel/x")
 	recs := []Record{
 		{T: 1, TimerID: 1, Op: Op(200), Flags: Flags(0xffff), Origin: o},
 		{T: 2, TimerID: 2, Op: nOps, Origin: o},
 		{T: 3, TimerID: 3, Op: OpSet, Timeout: -int64(sim.Second), Origin: o},
-		{T: 4, TimerID: 4, Op: OpExpire, Origin: 0xdeadbeef}, // dangling origin id
 	}
 	for _, r := range recs {
-		b.Log(r)
+		sw.Log(r)
 	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got, names := replaySerial(t, buf.Bytes())
+	if len(got) != len(recs) {
+		t.Fatalf("len = %d", len(got))
 	}
-	if got.Len() != len(recs) {
-		t.Fatalf("len = %d", got.Len())
-	}
-	for i, r := range got.Records() {
+	for i, r := range got {
 		if r != recs[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, r, recs[i])
+		}
+		if names[i] != "kernel/x" {
+			t.Fatalf("record %d origin = %q", i, names[i])
 		}
 		if r.Op.String() == "" {
 			t.Fatalf("record %d: empty op name", i)
 		}
 	}
-	if got.OriginName(0xdeadbeef) != "?" {
-		t.Fatalf("dangling origin resolved to %q", got.OriginName(0xdeadbeef))
-	}
-}
-
-// FuzzDecode hammers the decoder with arbitrary bytes. A decode either fails
-// cleanly or yields a buffer that re-encodes and re-decodes to the same
-// record stream.
-func FuzzDecode(f *testing.F) {
-	empty := NewBuffer(0)
-	var seed bytes.Buffer
-	if err := empty.Encode(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-
-	full := NewBuffer(5)
-	o := full.Origin("kernel/x")
-	u := full.Origin("app/select")
-	for i := 0; i < 5; i++ {
-		full.Log(Record{T: sim.Time(i), TimerID: uint64(i % 2), Op: Op(i % 5),
-			Origin: o + uint32(i%2)*(u-o), Timeout: int64(i) * int64(sim.Millisecond)})
-	}
-	var fullBuf bytes.Buffer
-	if err := full.Encode(&fullBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fullBuf.Bytes())
-	f.Add(fullBuf.Bytes()[:len(fullBuf.Bytes())-7]) // truncated mid-record
-	f.Add([]byte("TSTR"))                           // magic only
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := Decode(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
-			t.Fatalf("re-encode of decoded stream: %v", err)
-		}
-		b2, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if b2.Len() != b.Len() {
-			t.Fatalf("round-trip record count %d != %d", b2.Len(), b.Len())
-		}
-		for i, r := range b2.Records() {
-			if r != b.Records()[i] {
-				t.Fatalf("round-trip record %d: %+v != %+v", i, r, b.Records()[i])
-			}
-		}
-	})
 }
 
 // FuzzDecodeV2 hammers the chunked-stream decoder with arbitrary bytes. A

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -40,21 +39,6 @@ func (c Chunk) OriginName(id uint32) string {
 	}
 	return "?"
 }
-
-// ChunkedSource is a Source that can additionally deliver records a chunk at
-// a time, decoding chunk payloads on up to workers goroutines. fn runs on
-// the calling goroutine and sees chunks strictly in stream order regardless
-// of worker count, so any fold over chunks is as deterministic as a serial
-// walk. Chunk contents are only valid during the callback.
-type ChunkedSource interface {
-	Source
-	ForEachChunk(workers int, fn func(Chunk) error) error
-}
-
-var (
-	_ ChunkedSource = (*Buffer)(nil)
-	_ ChunkedSource = (*StreamReader)(nil)
-)
 
 // ForEachChunk delivers the stored records in DefaultChunkRecords-sized
 // chunks. The records are already decoded, so workers is ignored; the chunk
@@ -227,25 +211,4 @@ func (s *StreamReader) forEachChunkParallel(workers int, fn func(Chunk) error) e
 	}
 	wg.Wait()
 	return err
-}
-
-// ParallelForEach walks src in record order like src.ForEach, but decodes
-// chunk payloads on up to workers goroutines when src supports it (fn still
-// runs on the calling goroutine, in order, so it needs no locking).
-// workers < 1 means GOMAXPROCS. Sources without chunked access fall back to
-// a plain ForEach.
-func ParallelForEach(src Source, workers int, fn func(Record)) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cs, ok := src.(ChunkedSource)
-	if !ok {
-		return src.ForEach(fn)
-	}
-	return cs.ForEachChunk(workers, func(c Chunk) error {
-		for _, r := range c.Records {
-			fn(r)
-		}
-		return nil
-	})
 }

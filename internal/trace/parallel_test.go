@@ -37,9 +37,10 @@ func replaySerial(t *testing.T, data []byte) ([]Record, []string) {
 	return recs, names
 }
 
-// TestParallelForEachMatchesSerial sweeps worker counts and asserts the
-// parallel walk delivers exactly the serial record sequence, in order.
-func TestParallelForEachMatchesSerial(t *testing.T) {
+// TestStreamForEachChunkMatchesSerial sweeps worker counts and asserts the
+// ordered parallel decode delivers exactly the serial record sequence, in
+// order, with every origin resolvable through the chunk's snapshot.
+func TestStreamForEachChunkMatchesSerial(t *testing.T) {
 	const nrec = 10_000
 	data := buildV2(t, nrec, 512) // ~20 chunks, incremental 'O' frame mid-stream
 	wantRecs, wantNames := replaySerial(t, data)
@@ -51,7 +52,14 @@ func TestParallelForEachMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []Record
-			if err := ParallelForEach(sr, workers, func(r Record) { got = append(got, r) }); err != nil {
+			var names []string
+			if err := sr.ForEachChunk(workers, func(c Chunk) error {
+				for _, r := range c.Records {
+					got = append(got, r)
+					names = append(names, c.OriginName(r.Origin))
+				}
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(wantRecs) {
@@ -61,8 +69,8 @@ func TestParallelForEachMatchesSerial(t *testing.T) {
 				if got[i] != wantRecs[i] {
 					t.Fatalf("record %d: %+v != %+v", i, got[i], wantRecs[i])
 				}
-				if gn := sr.OriginName(got[i].Origin); gn != wantNames[i] {
-					t.Fatalf("record %d origin: %q != %q", i, gn, wantNames[i])
+				if names[i] != wantNames[i] {
+					t.Fatalf("record %d origin: %q != %q", i, names[i], wantNames[i])
 				}
 			}
 			c, ok := sr.Counters()
@@ -232,28 +240,5 @@ func TestForEachChunkSingleUse(t *testing.T) {
 	err = sr.ForEachChunk(4, func(Chunk) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "already consumed") {
 		t.Fatalf("second ForEachChunk: err = %v, want already-consumed error", err)
-	}
-}
-
-// TestParallelForEachFallback: a Source without chunked access must still
-// work through the serial path.
-type plainSource struct{ recs []Record }
-
-func (p *plainSource) ForEach(fn func(Record)) error {
-	for _, r := range p.recs {
-		fn(r)
-	}
-	return nil
-}
-func (p *plainSource) OriginName(uint32) string { return "?" }
-
-func TestParallelForEachFallback(t *testing.T) {
-	src := &plainSource{recs: []Record{{T: 1}, {T: 2}, {T: 3}}}
-	n := 0
-	if err := ParallelForEach(src, 8, func(r Record) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fallback delivered %d records, want 3", n)
 	}
 }

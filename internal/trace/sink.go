@@ -26,6 +26,13 @@ type Source interface {
 	// may be single-use (StreamReader): callers that need a second pass
 	// reopen the underlying file.
 	ForEach(fn func(Record)) error
+	// ForEachChunk delivers the records a chunk at a time, decoding chunk
+	// payloads on up to workers goroutines. fn runs on the calling
+	// goroutine and sees chunks strictly in stream order regardless of
+	// worker count, so any fold over chunks is as deterministic as a
+	// serial walk. Chunk contents are only valid during the callback. It
+	// shares ForEach's single-use rule.
+	ForEachChunk(workers int, fn func(Chunk) error) error
 	// OriginName resolves an origin ID; unknown IDs resolve to "?". During
 	// ForEach the mapping is complete for every record delivered so far.
 	OriginName(id uint32) string

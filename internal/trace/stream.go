@@ -7,10 +7,10 @@ import (
 	"io"
 )
 
-// Chunked v2 stream format. Unlike v1, nothing in the file depends on
-// totals known only at the end of a run, so a StreamWriter spills records
-// to disk while the simulation is still producing them and a StreamReader
-// replays files larger than RAM:
+// Chunked v2 stream format, the only trace file format. Nothing in the
+// file depends on totals known only at the end of a run, so a StreamWriter
+// spills records to disk while the simulation is still producing them and a
+// StreamReader replays files larger than RAM:
 //
 //	header: magic "TSTR" | version u32 = 2
 //	frames, repeated:
@@ -19,7 +19,7 @@ import (
 //	      and never transmitted. A record chunk only references origins
 //	      appended by earlier frames.
 //	  'R' | u32 count | count × RecordSize bytes
-//	      one chunk of records, same 40-byte layout as v1.
+//	      one chunk of records in the putRecord layout.
 //	  'C' | ByOp[nOps] u64 | Total u64 | Dropped u64 | Unknown u64
 //	      the counters footer; exactly once, last. A stream without it is
 //	      truncated, bytes after it are garbage — both decode errors.
@@ -238,7 +238,7 @@ type StreamReader struct {
 }
 
 // NewStreamReader validates the v2 header of r and returns a reader for the
-// stream. Use Open to auto-detect the format version instead.
+// stream. Any other format version is an error.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	v, err := readMagicVersion(br)
@@ -248,11 +248,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if v != version2 {
 		return nil, fmt.Errorf("trace: not a v2 stream (version %d)", v)
 	}
-	return newStreamReader(br), nil
-}
-
-func newStreamReader(br *bufio.Reader) *StreamReader {
-	return &StreamReader{br: br, origins: []string{"?"}, off: headerSize}
+	return &StreamReader{br: br, origins: []string{"?"}, off: headerSize}, nil
 }
 
 // readFull fills p from the stream, advancing the consumed-byte offset by
@@ -381,23 +377,4 @@ func (s *StreamReader) OriginName(id uint32) string {
 // consumed the stream through the footer.
 func (s *StreamReader) Counters() (c Counters, ok bool) {
 	return s.counters, s.footer
-}
-
-// Open auto-detects the trace format version of r and returns a Source:
-// a fully decoded Buffer for v1 files, a constant-memory StreamReader for
-// v2 streams.
-func Open(r io.Reader) (Source, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := readMagicVersion(br)
-	if err != nil {
-		return nil, err
-	}
-	switch v {
-	case version:
-		return decodeV1(br)
-	case version2:
-		return newStreamReader(br), nil
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
 }

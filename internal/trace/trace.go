@@ -15,9 +15,9 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+
+	"timerstudy/internal/sim"
 )
-import "timerstudy/internal/sim"
 
 // Op is the traced timer operation.
 type Op uint8
@@ -72,8 +72,8 @@ const (
 	FlagSatisfied
 )
 
-// Record is one traced operation. The binary layout (Encode/Decode) is
-// RecordSize (40) bytes, little-endian.
+// Record is one traced operation. Its binary layout (putRecord/getRecord)
+// is RecordSize (40) bytes, little-endian.
 type Record struct {
 	T       sim.Time // virtual timestamp
 	TimerID uint64   // timer structure identity ("address")
@@ -154,14 +154,6 @@ func (b *Buffer) OriginName(id uint32) string {
 		return b.origins[id]
 	}
 	return b.origins[0]
-}
-
-// Origins returns all interned origin labels, sorted.
-func (b *Buffer) Origins() []string {
-	out := make([]string, len(b.origins))
-	copy(out, b.origins)
-	sort.Strings(out)
-	return out
 }
 
 // Log appends a record, dropping it (but still counting) if the buffer is

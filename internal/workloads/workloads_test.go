@@ -322,17 +322,35 @@ func TestRunDispatchers(t *testing.T) {
 }
 
 func TestTraceEncodesAndDecodes(t *testing.T) {
-	res := LinuxIdle(Config{Seed: 1, Duration: 10 * sim.Second})
+	cfg := Config{Seed: 1, Duration: 10 * sim.Second}
+	res := LinuxIdle(cfg)
 	var buf bytes.Buffer
-	if err := res.Trace.Encode(&buf); err != nil {
+	sw := trace.NewStreamWriter(&buf)
+	cfg.Sink = sw
+	streamed := LinuxIdle(cfg)
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.Decode(&buf)
+	sr, err := trace.NewStreamReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != res.Trace.Len() {
-		t.Fatalf("len %d != %d", got.Len(), res.Trace.Len())
+	want := res.Trace.Records()
+	i := 0
+	if err := sr.ForEach(func(r trace.Record) {
+		if i < len(want) && (r != want[i] || sr.OriginName(r.Origin) != res.Trace.OriginName(want[i].Origin)) {
+			t.Fatalf("record %d: %+v (%s) != %+v (%s)", i, r, sr.OriginName(r.Origin),
+				want[i], res.Trace.OriginName(want[i].Origin))
+		}
+		i++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("len %d != %d", i, len(want))
+	}
+	if c, _ := sr.Counters(); c != streamed.Counters || c != res.Trace.Counters() {
+		t.Fatalf("footer counters %+v, streamed run %+v, buffered run %+v", c, streamed.Counters, res.Trace.Counters())
 	}
 }
 

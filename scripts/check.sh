@@ -32,7 +32,7 @@ echo "== serial-vs-parallel analysis determinism golden test =="
 # Pipeline.RunParallel must produce byte-identical reports to Pipeline.Run
 # at every worker count, over buffers and v2 streams, including chunk sizes
 # that straddle origin frames and timer lifecycles.
-go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestParallelForEachMatchesSerial' \
+go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParallelChunkTorture|TestStreamForEachChunkMatchesSerial' \
 	./internal/analysis ./internal/trace
 
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
@@ -42,7 +42,6 @@ go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|Tes
 	./internal/sim ./internal/trace ./internal/analysis ./internal/fleet ./internal/jiffies
 
 echo "== codec fuzz smoke (10s per format) =="
-go test -run '^$' -fuzz 'FuzzDecode$' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeV2$' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzReadCheckpoint' -fuzztime=10s ./internal/trace
 go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
@@ -158,7 +157,7 @@ if [[ -z "${serve_url:-}" ]]; then
 	cat "$gate_dir/serve.log" >&2
 	exit 1
 fi
-"$gate_dir/timertrace" -os linux -workload firefox -duration 2m -stream \
+"$gate_dir/timertrace" -os linux -workload firefox -duration 2m \
 	-o "$gate_dir/gate.trace" -emit "$serve_url" > /dev/null
 curl -sf "$serve_url/api/summary" > "$gate_dir/served.json"
 "$gate_dir/timerstat" -json -summary "$gate_dir/gate.trace" > "$gate_dir/offline.json"
