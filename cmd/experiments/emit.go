@@ -33,18 +33,20 @@ var (
 )
 
 // emitTrace replays a finished run's in-memory trace to the -emit service
-// under the given stream name. Emission is observability export, not part
-// of the experiment: failures warn and drop, they never fail the run.
-func emitTrace(url, name string, b *trace.Buffer) {
+// under the given stream name, OR-ing ns into every TimerID (0 leaves the
+// identities as recorded). Emission is observability export, not part of
+// the experiment: failures warn and drop, they never fail the run.
+func emitTrace(url, name string, b *trace.Buffer, ns uint64) {
 	sink, err := trace.NewHTTPSink(url, name, trace.HTTPSinkOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: -emit %s: %v\n", name, err)
 		return
 	}
-	for _, r := range b.Records() {
+	_ = b.ForEach(func(r trace.Record) { // a Buffer walk never fails
 		r.Origin = sink.Origin(b.OriginName(r.Origin))
+		r.TimerID |= ns
 		sink.Log(r)
-	}
+	})
 	if err := sink.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: -emit %s: %v\n", name, err)
 	}
@@ -105,20 +107,17 @@ func runServeBench() int {
 
 	// Pre-simulate every producer's trace so the measured window is the
 	// service (ingest + merge + query), not the simulator. Timer identities
-	// are namespaced per producer — the serve/offline equivalence is over
-	// streams with disjoint timer IDs, which distinct hosts guarantee.
+	// are namespaced per producer as records are copied out — the
+	// serve/offline equivalence is over streams with disjoint timer IDs,
+	// which distinct hosts guarantee.
 	bufs := make([]*trace.Buffer, producers)
 	names := make([]string, producers)
 	for i := range bufs {
 		cfg := workloads.Config{Seed: *seedFlag + int64(i), Duration: dur}
-		res := workloads.RunLinux(workloads.Idle, cfg)
-		recs := res.Trace.Records()
-		for j := range recs {
-			recs[j].TimerID |= uint64(i+1) << 48
-		}
-		bufs[i] = res.Trace
+		bufs[i] = workloads.RunLinux(workloads.Idle, cfg).Trace
 		names[i] = fmt.Sprintf("bench-%03d", i)
 	}
+	namespace := func(i int) uint64 { return uint64(i+1) << 48 }
 
 	stop := make(chan struct{})
 	var queries uint64
@@ -154,7 +153,7 @@ func runServeBench() int {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			emitTrace(url, names[i], bufs[i])
+			emitTrace(url, names[i], bufs[i], namespace(i))
 		}(i)
 	}
 	wg.Wait()
@@ -176,14 +175,15 @@ func runServeBench() int {
 	}
 	total := 0
 	for _, b := range bufs {
-		total += len(b.Records())
+		total += b.Len()
 	}
 	oracle := trace.NewBuffer(total)
-	for _, b := range bufs { // names are already in lexicographic order
-		for _, r := range b.Records() {
+	for i, b := range bufs { // names are already in lexicographic order
+		_ = b.ForEach(func(r trace.Record) {
 			r.Origin = oracle.Origin(b.OriginName(r.Origin))
+			r.TimerID |= namespace(i)
 			oracle.Log(r)
-		}
+		})
 	}
 	rep, err := p.Run(oracle)
 	if err != nil {

@@ -123,7 +123,7 @@ func runSpec(spec workloads.Spec, spill bool, reduce func(res *workloads.Result,
 		if emit != "" {
 			// Replay the in-memory trace to the live service; export is
 			// best-effort and never fails the experiment.
-			emitTrace(emit, stream, res.Trace)
+			emitTrace(emit, stream, res.Trace, 0)
 		}
 		return res, reduce(res, res.Trace)
 	}

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
+
 	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
 )
@@ -402,8 +405,11 @@ func (s *shard) classify(t *streamTimer) Class {
 
 // constantValue mirrors constantValue over the timeout histogram: the
 // median of the closed-use multiset and the 90 %-within-tolerance rule.
-// The shard's scratch slice keeps the fold allocation-free; the distinct
-// values are insertion-sorted (they are almost always ≤ inlineTvals many).
+// The distinct values are sorted in the shard's scratch slice, so the fold
+// costs O(d log d) for a timer with d distinct timeouts and allocates
+// nothing once the scratch is warm (TestShardConstantValueZeroAlloc). Most
+// timers have at most inlineTvals values, but a select/poll countdown
+// timer can carry tens of thousands.
 func (s *shard) constantValue(t *streamTimer) bool {
 	n := t.closed
 	vals := s.tvScratch[:0]
@@ -411,14 +417,10 @@ func (s *shard) constantValue(t *streamTimer) bool {
 		vals = append(vals, t.tv[i])
 	}
 	for v, c := range t.tvMore {
-		//lint:ignore mapiter the insertion sort below canonicalizes the order; sort.Slice would allocate on this alloc-free fold path
 		vals = append(vals, tvalSlot{v: v, n: c})
 	}
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j].v < vals[j-1].v; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	// Values are distinct, so the unstable sort is canonical.
+	slices.SortFunc(vals, func(a, b tvalSlot) int { return cmp.Compare(a.v, b.v) })
 	s.tvScratch = vals
 	var median sim.Duration
 	cum := 0

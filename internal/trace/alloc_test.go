@@ -2,13 +2,16 @@ package trace
 
 import (
 	"io"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
-// TestLogZeroAlloc guards the two steady states of the Log hot path: while
-// the buffer is within its preallocated storage, and once it is at capacity
-// (the drop path). Both must be allocation-free; between them the only cost
-// is amortized slice growth for buffers larger than the prealloc bound.
+// TestLogZeroAlloc guards the steady states of the Log hot path: while the
+// buffer is within a block, once it is at capacity (the drop path), and
+// while it refills blocks kept by Reset. All must be allocation-free;
+// otherwise the only cost is one block allocation per DefaultChunkRecords
+// records (TestLogBytesPerRecord).
 // Run under -count=1 in CI (scripts/check.sh) so a regression fails.
 func TestLogZeroAlloc(t *testing.T) {
 	rec := Record{T: 1, Op: OpSet, TimerID: 7, Timeout: 42, Origin: 1}
@@ -32,6 +35,19 @@ func TestLogZeroAlloc(t *testing.T) {
 		t.Fatal("drop path not exercised")
 	}
 
+	// After Reset, refilling the blocks an earlier pass opened reuses them.
+	reused := NewBuffer(DefaultCapacity)
+	refill := func() {
+		reused.Reset()
+		for i := 0; i < 2*DefaultChunkRecords+5; i++ {
+			reused.Log(rec)
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(3, refill); allocs != 0 {
+		t.Errorf("refilling three blocks after Reset allocates %.1f objects/pass, want 0", allocs)
+	}
+
 	disabled := NewBuffer(0)
 	if allocs := testing.AllocsPerRun(1000, func() { disabled.Log(rec) }); allocs != 0 {
 		t.Errorf("Log with tracing disabled allocates %.1f objects/op, want 0", allocs)
@@ -40,16 +56,42 @@ func TestLogZeroAlloc(t *testing.T) {
 
 // TestNewBufferPreallocBounded pins the memory contract: small buffers
 // reserve exactly their capacity, huge buffers reserve only the bounded
-// prealloc (a full DefaultCapacity buffer must not commit 512 MiB eagerly).
+// first block (a full DefaultCapacity buffer must not commit 512 MiB
+// eagerly), and a disabled buffer reserves nothing.
 func TestNewBufferPreallocBounded(t *testing.T) {
-	if got := cap(NewBuffer(100).records); got != 100 {
-		t.Fatalf("small buffer prealloc = %d, want 100", got)
+	for _, tc := range []struct{ capRecords, want int }{
+		{100, 100},
+		{DefaultCapacity, preallocRecords},
+		{0, 0},
+	} {
+		b := NewBuffer(tc.capRecords)
+		if got := cap(b.tail); got != tc.want || len(b.sealed) != 0 {
+			t.Errorf("NewBuffer(%d) reserves %d records in %d extra blocks, want %d in 0",
+				tc.capRecords, got, len(b.sealed), tc.want)
+		}
 	}
-	if got := cap(NewBuffer(DefaultCapacity).records); got != preallocRecords {
-		t.Fatalf("large buffer prealloc = %d, want %d", got, preallocRecords)
+}
+
+// TestLogBytesPerRecord bounds what filling a buffer past its first block
+// allocates, in units of the record itself: block storage costs one
+// Record per record, and the block list and origin table must stay within
+// 10 % on top. Append growth of one flat slice costs several times that.
+func TestLogBytesPerRecord(t *testing.T) {
+	const n = 4 * DefaultChunkRecords
+	rec := Record{T: 1, Op: OpSet, TimerID: 7, Timeout: 42, Origin: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBuffer(DefaultCapacity)
+	for i := 0; i < n; i++ {
+		b.Log(rec)
 	}
-	if got := cap(NewBuffer(0).records); got != 0 {
-		t.Fatalf("disabled buffer prealloc = %d, want 0", got)
+	runtime.ReadMemStats(&after)
+	if b.Len() != n {
+		t.Fatalf("Len = %d, want %d", b.Len(), n)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if limit := 1.1 * float64(unsafe.Sizeof(Record{})); perRecord > limit {
+		t.Fatalf("filling %d records allocated %.1f B/record, want <= %.1f", n, perRecord, limit)
 	}
 }
 

@@ -40,13 +40,25 @@ func (c Chunk) OriginName(id uint32) string {
 	return "?"
 }
 
-// ForEachChunk delivers the stored records in DefaultChunkRecords-sized
-// chunks. The records are already decoded, so workers is ignored; the chunk
-// slices alias the buffer and must not be mutated.
+// ForEachChunk delivers the records stored when it is called in
+// DefaultChunkRecords-sized chunks, one per block (a compacted block holds
+// several). The records are already decoded, so workers is ignored; the
+// chunk slices alias the buffer and must not be mutated.
 func (b *Buffer) ForEachChunk(workers int, fn func(Chunk) error) error {
-	for i := 0; i < len(b.records); i += DefaultChunkRecords {
-		end := min(i+DefaultChunkRecords, len(b.records))
-		if err := fn(Chunk{Records: b.records[i:end], Origins: b.origins}); err != nil {
+	sealed, tail := b.sealed, b.tail
+	for _, blk := range sealed {
+		if err := b.chunkBlock(blk, fn); err != nil {
+			return err
+		}
+	}
+	return b.chunkBlock(tail, fn)
+}
+
+// chunkBlock cuts one block into DefaultChunkRecords-sized chunks.
+func (b *Buffer) chunkBlock(blk []Record, fn func(Chunk) error) error {
+	for i := 0; i < len(blk); i += DefaultChunkRecords {
+		end := min(i+DefaultChunkRecords, len(blk))
+		if err := fn(Chunk{Records: blk[i:end], Origins: b.origins}); err != nil {
 			return err
 		}
 	}

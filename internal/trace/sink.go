@@ -47,10 +47,16 @@ var (
 	_ Source = (*StreamReader)(nil)
 )
 
-// ForEach walks the stored records in order. It never fails; the error is
-// the Source contract's.
+// ForEach walks the records stored when it is called, in order. It never
+// fails; the error is the Source contract's.
 func (b *Buffer) ForEach(fn func(Record)) error {
-	for _, r := range b.records {
+	sealed, tail := b.sealed, b.tail
+	for _, blk := range sealed {
+		for _, r := range blk {
+			fn(r)
+		}
+	}
+	for _, r := range tail {
 		fn(r)
 	}
 	return nil

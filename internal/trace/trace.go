@@ -105,8 +105,18 @@ type Counters struct {
 // stores no records (the "tracing disabled" configuration of the overhead
 // experiment). Buffers are not safe for concurrent use; simulations are
 // single-threaded.
+//
+// Records live in blocks rather than one slice grown by append, so growth
+// never copies stored records or holds an old and a new array at once.
+// Every block but the tail holds a multiple of DefaultChunkRecords records
+// (one chunk's worth, or several after Records compacts), so ForEachChunk
+// cuts chunks exactly where cutting a flat slice every DefaultChunkRecords
+// records would.
 type Buffer struct {
-	records  []Record
+	sealed   [][]Record // full blocks, in order
+	tail     []Record   // the block Log appends to
+	spare    [][]Record // emptied blocks Reset keeps for reuse
+	n        int        // stored records: the sealed blocks plus tail
 	cap      int
 	origins  []string
 	originID map[string]uint32
@@ -117,18 +127,17 @@ type Buffer struct {
 // RecordSize-byte record size.
 const DefaultCapacity = 512 << 20 / RecordSize
 
-// preallocRecords bounds the record storage reserved eagerly at NewBuffer:
-// enough that short runs never grow the slice on the Log hot path, small
-// enough (2.5 MiB) that nine parallel full-capacity buffers don't commit
-// 512 MiB each up front. Buffers that outgrow it pay amortized append
-// growth, exactly as before.
-const preallocRecords = 1 << 16
+// preallocRecords bounds the first block, which NewBuffer reserves eagerly:
+// enough that short runs never open a second block, small enough (2.5 MiB)
+// that nine parallel full-capacity buffers don't commit 512 MiB each up
+// front. It is one block, so the first block seals like every later one.
+const preallocRecords = DefaultChunkRecords
 
 // NewBuffer returns a buffer holding at most capRecords records.
 func NewBuffer(capRecords int) *Buffer {
 	b := &Buffer{cap: capRecords, originID: make(map[string]uint32)}
 	if n := min(capRecords, preallocRecords); n > 0 {
-		b.records = make([]Record, 0, n)
+		b.tail = make([]Record, 0, n)
 	}
 	// Origin 0 is reserved for "unknown".
 	b.origins = append(b.origins, "?")
@@ -159,7 +168,7 @@ func (b *Buffer) OriginName(id uint32) string {
 // Log appends a record, dropping it (but still counting) if the buffer is
 // full — relayfs semantics: old data is never overwritten.
 //
-//lint:allocfree per-record hot path; the capped backing array is preallocated by NewBuffer (TestLogZeroAlloc)
+//lint:allocfree per-record hot path; within a block the append never grows, and a new block opens once per DefaultChunkRecords records (TestLogZeroAlloc)
 func (b *Buffer) Log(r Record) {
 	if int(r.Op) < int(nOps) {
 		b.counters.ByOp[r.Op]++
@@ -167,26 +176,77 @@ func (b *Buffer) Log(r Record) {
 		b.counters.Unknown++
 	}
 	b.counters.Total++
-	if len(b.records) >= b.cap {
+	if b.n >= b.cap {
 		b.counters.Dropped++
 		return
 	}
-	b.records = append(b.records, r)
+	if len(b.tail) == cap(b.tail) {
+		//lint:ignore allocfree cold path: one block per DefaultChunkRecords records, amortized to ~0 per record
+		b.openBlock()
+	}
+	b.tail = append(b.tail, r)
+	b.n++
+}
+
+// openBlock seals the full tail and opens the next block: a spare one if
+// Reset left any, else a new one sized to what the capacity still allows.
+// The cold path of Log.
+func (b *Buffer) openBlock() {
+	b.sealed = append(b.sealed, b.tail)
+	if n := len(b.spare); n > 0 {
+		b.tail, b.spare = b.spare[n-1][:0], b.spare[:n-1]
+		return
+	}
+	b.tail = make([]Record, 0, min(DefaultChunkRecords, b.cap-b.n))
 }
 
 // Len returns the number of stored records.
-func (b *Buffer) Len() int { return len(b.records) }
+func (b *Buffer) Len() int { return b.n }
 
-// Records returns the stored records. The slice aliases the buffer; callers
-// must not mutate it.
-func (b *Buffer) Records() []Record { return b.records }
+// Records returns the stored records as one slice. The slice aliases the
+// buffer; callers must not mutate it. Records held in one block are returned
+// in place. Otherwise the first call compacts the blocks into one slice the
+// Buffer then owns, an O(Len) copy; later calls return it without copying
+// until Log fills it and opens a new block. ForEach and ForEachChunk never
+// compact.
+func (b *Buffer) Records() []Record {
+	if len(b.sealed) == 0 {
+		return b.tail
+	}
+	// Round the capacity up to a block boundary so the compacted slice
+	// seals, if Log ever fills it, on a chunk boundary.
+	n := min((b.n+DefaultChunkRecords-1)/DefaultChunkRecords*DefaultChunkRecords, b.cap)
+	flat := make([]Record, 0, n)
+	for _, blk := range b.sealed {
+		flat = append(flat, blk...)
+	}
+	flat = append(flat, b.tail...)
+	// Drop the block list rather than clearing it: a ForEach or
+	// ForEachChunk in progress still walks the old blocks.
+	b.sealed, b.tail = nil, flat
+	return flat
+}
 
 // Counters returns a copy of the operation tallies.
 func (b *Buffer) Counters() Counters { return b.counters }
 
 // Reset discards stored records and counters but keeps interned origins, so
-// origin IDs remain stable across phases of one experiment.
+// origin IDs remain stable across phases of one experiment. It keeps the
+// first block and every full-size block for reuse, so logging the same
+// volume again allocates at most the short last block a capacity cut off.
 func (b *Buffer) Reset() {
-	b.records = b.records[:0]
+	if len(b.sealed) > 0 {
+		// Blocks after the first are full-size, except a tail the
+		// capacity shortened: reused mid-buffer, that one would seal
+		// off the chunk grid.
+		b.spare = append(b.spare, b.sealed[1:]...)
+		if cap(b.tail) == DefaultChunkRecords {
+			b.spare = append(b.spare, b.tail)
+		}
+		b.tail = b.sealed[0]
+		b.sealed = b.sealed[:0]
+	}
+	b.tail = b.tail[:0]
+	b.n = 0
 	b.counters = Counters{}
 }

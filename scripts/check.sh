@@ -10,6 +10,17 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# The lint fixtures under internal/lint/testdata are deliberately malformed
+# or unformatted inputs; everything else must be gofmt-clean.
+unformatted="$(find . -name '*.go' -not -path './internal/lint/testdata/*' \
+	-not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)"
+if [[ -n "$unformatted" ]]; then
+	echo "gofmt -l reports unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -38,7 +49,7 @@ go test -race -count=2 -run 'TestRunParallelMatchesRunAcrossWorkers|TestRunParal
 echo "== allocation regression (steady-state hot paths must be alloc-free) =="
 # Run WITHOUT -race: the race detector instruments allocations and would
 # make AllocsPerRun report false positives.
-go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestEachZeroAlloc|TestModDelTickZeroAllocNoHZOff' \
+go test -count=1 -run 'TestEngineZeroAllocSteadyState|TestEventAllocsPlateau|TestLogZeroAlloc|TestLogBytesPerRecord|TestStreamWriterLogZeroAlloc|TestShardRecordZeroAlloc|TestShardConstantValueZeroAlloc|TestEachZeroAlloc|TestModDelTickZeroAllocNoHZOff' \
 	./internal/sim ./internal/trace ./internal/analysis ./internal/fleet ./internal/jiffies
 
 echo "== codec fuzz smoke (10s per format) =="
