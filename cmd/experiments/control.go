@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,7 +15,6 @@ import (
 	"timerstudy/internal/fleet"
 	"timerstudy/internal/sim"
 	"timerstudy/internal/trace"
-	"timerstudy/internal/workloads"
 )
 
 // The steered-fleet mode: wrap the -fleet scenario in the control plane so
@@ -25,38 +23,6 @@ import (
 // resumed (-resume). Every path prints the same "control digest:" line the
 // check.sh gates compare: a replayed or resumed run must land on the exact
 // digest of the original.
-
-var (
-	listFl          = flag.Bool("list", false, "list scenarios, workloads and steering commands, then exit")
-	steerFl         = flag.String("steer", "", "steer the fleet: comma-separated window:kind:host[:arg[:dur]] commands (see -list)")
-	recordCmdFl     = flag.String("record-commands", "", "write the applied command log (TCMD) to this file at exit")
-	replayCmdFl     = flag.String("replay-commands", "", "replay a recorded command log (TCMD) from this file")
-	checkpointFl    = flag.String("checkpoint", "", "write a checkpoint (TCKP) to this file (at -stop-window, or at run end)")
-	stopWindowFl    = flag.Int("stop-window", 0, "stop the controlled run at this window boundary (requires -checkpoint)")
-	resumeFl        = flag.String("resume", "", "resume a controlled run from this checkpoint file")
-	keyframeEveryFl = flag.Int("keyframe-every", 0, "automatic keyframe cadence in windows (0 = control-plane default)")
-	pollFl          = flag.String("poll", "", "poll a timerstat -serve command hub at this base URL for steering commands")
-)
-
-// controlMode reports whether any control-plane flag asks for the steered
-// fleet path instead of plain -fleet.
-func controlMode() bool {
-	return *steerFl != "" || *replayCmdFl != "" || *checkpointFl != "" ||
-		*resumeFl != "" || *pollFl != "" || *recordCmdFl != ""
-}
-
-// controlBench is the "control" key merged into the -bench JSON report.
-type controlBench struct {
-	Hosts           int     `json:"hosts"`
-	Workers         int     `json:"workers"`
-	Windows         int     `json:"windows"`
-	CommandsApplied int     `json:"commands_applied"`
-	CheckpointMS    float64 `json:"checkpoint_ms"`
-	CheckpointBytes int     `json:"checkpoint_bytes"`
-	ResumeForwardMS float64 `json:"resume_fastforward_ms"`
-	WallMS          float64 `json:"wall_ms"`
-	Digest          string  `json:"digest"`
-}
 
 // parseSteer turns the -steer spec into commands. Format, comma-separated:
 //
@@ -278,9 +244,8 @@ func runControl() int {
 	}
 
 	var (
-		p         *control.Plane
-		err       error
-		resumeFwd time.Duration
+		p   *control.Plane
+		err error
 	)
 	switch {
 	case *resumeFl != "":
@@ -296,10 +261,9 @@ func runControl() int {
 		}
 		t0 := time.Now()
 		p, err = control.Resume(cp, opts...)
-		resumeFwd = time.Since(t0)
 		if err == nil {
 			fmt.Printf("control: resumed %q at window %d (fast-forward %.0f ms, %d hosts verified)\n",
-				cp.Label, cp.Window, resumeFwd.Seconds()*1e3, len(cp.Hosts))
+				cp.Label, cp.Window, time.Since(t0).Seconds()*1e3, len(cp.Hosts))
 		}
 	case *replayCmdFl != "":
 		spec, serr := controlSpec()
@@ -360,7 +324,7 @@ func runControl() int {
 	}
 
 	// The drive loop: poll, advance, until the stop window or the end.
-	start := time.Now()
+	// selectMode has already refused -stop-window without -checkpoint.
 	stopped := false
 	for {
 		if *stopWindowFl > 0 && p.Windows() >= *stopWindowFl {
@@ -373,16 +337,7 @@ func runControl() int {
 		}
 	}
 
-	var (
-		ckptWall  time.Duration
-		ckptBytes int
-	)
 	if stopped {
-		if *checkpointFl == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -stop-window without -checkpoint would discard the run")
-			p.Abort()
-			return 2
-		}
 		t0 := time.Now()
 		cp := p.Checkpoint("experiments -checkpoint")
 		var buf bytes.Buffer
@@ -391,8 +346,7 @@ func runControl() int {
 			p.Abort()
 			return 1
 		}
-		ckptWall = time.Since(t0)
-		ckptBytes = buf.Len()
+		ckptWall := time.Since(t0)
 		if err := os.WriteFile(*checkpointFl, buf.Bytes(), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
 			p.Abort()
@@ -400,13 +354,12 @@ func runControl() int {
 		}
 		p.Abort()
 		fmt.Printf("control: checkpoint %s at window %d (%d hosts, %d bytes, %.1f ms)\n",
-			*checkpointFl, cp.Window, len(cp.Hosts), ckptBytes, ckptWall.Seconds()*1e3)
+			*checkpointFl, cp.Window, len(cp.Hosts), buf.Len(), ckptWall.Seconds()*1e3)
 		fmt.Printf("control stopped: window=%d resume with -resume %s\n", cp.Window, *checkpointFl)
-		return emitControlArtifacts(p, workers, ckptWall, ckptBytes, resumeFwd, time.Since(start), stopped)
+		return writeCommandLog(p)
 	}
 
 	stats := p.Finish()
-	wall := time.Since(start)
 	digest := p.Fleet().Digest()
 	fmt.Printf("control: %d windows, %d events, %d commands applied, traffic %d sent / %d delivered / %d lost\n",
 		stats.Windows, stats.Events, len(p.CommandLog()), stats.Sent, stats.Delivered, stats.Lost)
@@ -418,80 +371,29 @@ func runControl() int {
 			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
 			return 1
 		}
-		ckptWall = time.Since(t0)
-		ckptBytes = buf.Len()
+		ckptWall := time.Since(t0)
 		if err := os.WriteFile(*checkpointFl, buf.Bytes(), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -checkpoint: %v\n", err)
 			return 1
 		}
 		fmt.Printf("control: checkpoint %s at window %d (%d bytes, %.1f ms)\n",
-			*checkpointFl, cp.Window, ckptBytes, ckptWall.Seconds()*1e3)
+			*checkpointFl, cp.Window, buf.Len(), ckptWall.Seconds()*1e3)
 	}
 	fmt.Printf("control digest: %016x windows=%d workers=%d\n", digest, stats.Windows, workers)
-	return emitControlArtifacts(p, workers, ckptWall, ckptBytes, resumeFwd, wall, stopped)
+	return writeCommandLog(p)
 }
 
-// emitControlArtifacts writes the command log and the bench key; shared by
-// the stopped and completed exits.
-func emitControlArtifacts(p *control.Plane, workers int, ckptWall time.Duration, ckptBytes int, resumeFwd, wall time.Duration, stopped bool) int {
-	if *recordCmdFl != "" {
-		history := append(p.CommandLog(), p.Pending()...)
-		if err := os.WriteFile(*recordCmdFl, control.EncodeCommands(history), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -record-commands: %v\n", err)
-			return 1
-		}
-		fmt.Printf("control: recorded %d commands to %s\n", len(history), *recordCmdFl)
+// writeCommandLog writes the -record-commands log (applied and still
+// pending commands); shared by the stopped and completed exits.
+func writeCommandLog(p *control.Plane) int {
+	if *recordCmdFl == "" {
+		return 0
 	}
-	if *benchFl != "" {
-		spec := p.Spec()
-		digest := ""
-		if !stopped {
-			digest = fmt.Sprintf("%016x", p.Fleet().Digest())
-		}
-		cb := controlBench{
-			Hosts:           spec.Webservers + spec.Desktops,
-			Workers:         workers,
-			Windows:         p.Windows(),
-			CommandsApplied: len(p.CommandLog()),
-			CheckpointMS:    ckptWall.Seconds() * 1e3,
-			CheckpointBytes: ckptBytes,
-			ResumeForwardMS: resumeFwd.Seconds() * 1e3,
-			WallMS:          wall.Seconds() * 1e3,
-			Digest:          digest,
-		}
-		if err := mergeBenchKey(*benchFl, "control", cb); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
-			return 1
-		}
+	history := append(p.CommandLog(), p.Pending()...)
+	if err := os.WriteFile(*recordCmdFl, control.EncodeCommands(history), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -record-commands: %v\n", err)
+		return 1
 	}
-	return 0
-}
-
-// runList enumerates what this binary can run — the -list satellite: no
-// more guessing scenario or command names from error messages.
-func runList() int {
-	fmt.Println("scenarios:")
-	fmt.Println("  (default)      the paper's evaluation traces (Tables 1-3, Figures 2-11)")
-	fmt.Println("  -fleet         parallel datacenter fleet with determinism verification")
-	fmt.Println("  -serve-bench   loopback live-service ingest/query benchmark")
-	fmt.Println("  -steer/-poll/-checkpoint/-resume/-replay-commands")
-	fmt.Println("                 steered fleet under the deterministic control plane")
-	fmt.Println()
-	fmt.Println("workloads (single-host traces):")
-	for _, os := range []struct {
-		name  string
-		names []string
-	}{{"linux", workloads.LinuxWorkloads()}, {"vista", workloads.VistaWorkloads()}} {
-		for _, w := range os.names {
-			fmt.Printf("  %s/%s\n", os.name, w)
-		}
-	}
-	fmt.Println()
-	fmt.Println("steering commands (window:kind:host[:arg[:dur]], host \"*\" = fleet-wide):")
-	fmt.Println("  spike     multiply desktop request rate by arg for dur (e.g. 10:spike:*:4:500ms)")
-	fmt.Println("  kill      power a host off at the boundary (20:kill:ws-0000)")
-	fmt.Println("  restart   power a killed host back on (60:restart:ws-0000)")
-	fmt.Println("  policy    request-timeout policy: fixed | adaptive (25:policy:*:adaptive)")
-	fmt.Println("  coalesce  periodic-timer coalescing window (30:coalesce:*:100ms)")
+	fmt.Printf("control: recorded %d commands to %s\n", len(history), *recordCmdFl)
 	return 0
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -18,28 +17,6 @@ import (
 // lookahead windows. The run always includes a workers=1 pass whose fleet
 // digest must match the parallel pass bit-for-bit; a mismatch is a hard
 // failure (the determinism gate check.sh relies on).
-
-// fleetBench is the "fleet" key merged into the -bench JSON report.
-type fleetBench struct {
-	Hosts            int     `json:"hosts"`
-	Webservers       int     `json:"webservers"`
-	Desktops         int     `json:"desktops"`
-	Workers          int     `json:"workers"`
-	VirtualDuration  string  `json:"virtual_duration"`
-	LookaheadUS      float64 `json:"lookahead_us"`
-	Windows          int     `json:"windows"`
-	Events           uint64  `json:"events"`
-	CumulativeTimers uint64  `json:"cumulative_timers"`
-	Records          uint64  `json:"records_total"`
-	MessagesSent     uint64  `json:"messages_sent"`
-	MessagesLost     uint64  `json:"messages_lost"`
-	WallMSSerial     float64 `json:"wall_ms_serial"`
-	WallMSParallel   float64 `json:"wall_ms_parallel"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	SpeedupVsWorkers float64 `json:"speedup_vs_workers"`
-	Digest           string  `json:"digest"`
-	Deterministic    bool    `json:"deterministic"`
-}
 
 // fleetPass builds the topology fresh and runs it once, returning the run
 // stats, the fleet digest and the wall time.
@@ -121,32 +98,6 @@ func runFleet() int {
 		wallSerial.Seconds()*1e3, workers, wallParallel.Seconds()*1e3, speedup, evPerSec)
 	fmt.Printf("fleet digest: %016x workers=%d deterministic=%v\n", digest, workers, deterministic)
 
-	if *benchFl != "" {
-		fb := fleetBench{
-			Hosts:            hosts,
-			Webservers:       ws,
-			Desktops:         pc,
-			Workers:          workers,
-			VirtualDuration:  dur.String(),
-			LookaheadUS:      float64(stats.Lookahead) / float64(sim.Microsecond),
-			Windows:          stats.Windows,
-			Events:           stats.Events,
-			CumulativeTimers: sets,
-			Records:          records,
-			MessagesSent:     stats.Sent,
-			MessagesLost:     stats.Lost,
-			WallMSSerial:     wallSerial.Seconds() * 1e3,
-			WallMSParallel:   wallParallel.Seconds() * 1e3,
-			EventsPerSec:     evPerSec,
-			SpeedupVsWorkers: speedup,
-			Digest:           fmt.Sprintf("%016x", digest),
-			Deterministic:    deterministic,
-		}
-		if err := mergeFleetBench(*benchFl, fb); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
-			return 1
-		}
-	}
 	if !deterministic {
 		return 1
 	}
@@ -175,24 +126,4 @@ func fleetEmitSinks(url string) (func(string) trace.Sink, func()) {
 		}
 	}
 	return newSink, closeAll
-}
-
-// mergeFleetBench sets the "fleet" key in a benchmark JSON report (created
-// if absent), preserving other keys — the same merge contract timerlint
-// uses for "lint".
-func mergeFleetBench(path string, fb fleetBench) error {
-	report := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	report["fleet"] = fb
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -14,12 +14,10 @@
 //	experiments              # full 30-minute virtual traces (the paper's length)
 //	experiments -quick       # 2-minute traces for a fast look
 //	experiments -j 4         # cap the worker pool (default GOMAXPROCS)
-//	experiments -bench f.json # also write machine-readable wall-clock timings
+//	experiments -list        # the modes, the flags each reads, and the workloads
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,23 +39,6 @@ import (
 	"timerstudy/internal/trace"
 	"timerstudy/internal/version"
 	"timerstudy/internal/workloads"
-)
-
-var (
-	durFlag   = flag.Duration("duration", 30*time.Minute, "virtual duration per trace")
-	seedFlag  = flag.Int64("seed", 1, "simulation seed")
-	quick     = flag.Bool("quick", false, "use 2-minute traces")
-	workersFl = flag.Int("j", 0, "workload worker pool size (0 = GOMAXPROCS)")
-	benchFl   = flag.String("bench", "", "write a machine-readable timing report (JSON) to this file")
-	spillFl   = flag.Bool("spill", false, "stream each trace to a temp file during the run and analyze it from disk (bounded memory)")
-	strictFl  = flag.Bool("strict", false, "exit nonzero if any run dropped trace records")
-	cpuproFl  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memproFl  = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-
-	fleetFl        = flag.Bool("fleet", false, "run the datacenter fleet scenario instead of the single-host experiments")
-	hostsFl        = flag.Int("hosts", 1024, "fleet: total host count (1/8 webservers, rest desktops)")
-	fleetWorkersFl = flag.Int("fleet-workers", 0, "fleet: parallel host workers (0 = GOMAXPROCS); a workers=1 verification pass runs first when >1")
-	fleetDurFl     = flag.Duration("fleet-duration", 30*time.Second, "fleet: virtual duration")
 )
 
 // artifacts is everything we keep from one workload run after its trace is
@@ -123,7 +104,7 @@ func runSpec(spec workloads.Spec, spill bool, reduce func(res *workloads.Result,
 		if emit != "" {
 			// Replay the in-memory trace to the live service; export is
 			// best-effort and never fails the experiment.
-			emitTrace(emit, stream, res.Trace, 0)
+			emitTrace(emit, stream, res.Trace)
 		}
 		return res, reduce(res, res.Trace)
 	}
@@ -167,6 +148,28 @@ func runSpec(spec workloads.Spec, spill bool, reduce func(res *workloads.Result,
 	return res, reduce(res, src)
 }
 
+// emitTrace replays a finished run's in-memory trace to the -emit service
+// under the given stream name. Emission is observability export, not part
+// of the experiment: failures warn and drop, they never fail the run.
+func emitTrace(url, name string, b *trace.Buffer) {
+	sink, err := trace.NewHTTPSink(url, name, trace.HTTPSinkOptions{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -emit %s: %v\n", name, err)
+		return
+	}
+	_ = b.ForEach(func(r trace.Record) { // a Buffer walk never fails
+		r.Origin = sink.Origin(b.OriginName(r.Origin))
+		sink.Log(r)
+	})
+	if err := sink.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -emit %s: %v\n", name, err)
+	}
+	if st := sink.Stats(); st.DroppedFrames > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -emit %s: dropped %d frames (%d records)\n",
+			name, st.DroppedFrames, st.DroppedRecords)
+	}
+}
+
 // experimentSet holds every artifact the figure writer needs, in workload
 // order. It is a pure function of (seed, dur) — worker count never changes
 // its contents, which TestParallelMatchesSerial asserts byte-for-byte.
@@ -201,7 +204,7 @@ func warnDropped(w io.Writer, set experimentSet) bool {
 // and reduces each to its artifacts inside the worker goroutine. With spill
 // the traces stream to temp files instead of memory; the artifacts are
 // byte-identical (TestSpillMatchesMemory).
-func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, bench *benchReport) (experimentSet, error) {
+func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool) (experimentSet, error) {
 	cfg := workloads.Config{Seed: seed, Duration: dur}
 	specs := workloads.EvaluationSpecs(cfg)
 	desktopIdx := len(specs) - 1
@@ -220,14 +223,9 @@ func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, b
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	timings := make([]runTiming, len(specs))
+	counters := make([]trace.Counters, len(specs))
 	errs := make([]error, len(specs))
 
-	var phase0 runtime.MemStats
-	if bench != nil {
-		runtime.ReadMemStats(&phase0)
-	}
-	start := time.Now()
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < min(workers, len(specs)); w++ {
@@ -235,19 +233,7 @@ func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, b
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				var m0, m1 runtime.MemStats
-				if bench != nil {
-					// Global counters: under a parallel pool each delta
-					// includes neighbouring workers' allocations, so
-					// per-run numbers are upper bounds there (workers=1
-					// is exact). Totals use the phase-wide delta, which
-					// is exact at any worker count.
-					runtime.ReadMemStats(&m0)
-				}
-				t0 := time.Now()
-				var t1 time.Time
 				res, err := runSpec(specs[i], spill, func(res *workloads.Result, src trace.Source) error {
-					t1 = time.Now()
 					switch {
 					case i < len(set.linux):
 						a, err := analyze(res, src)
@@ -272,20 +258,7 @@ func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, b
 					errs[i] = fmt.Errorf("%s/%s: %w", specs[i].OS, specs[i].Name, err)
 					continue
 				}
-				if t1.IsZero() {
-					t1 = time.Now()
-				}
-				timings[i] = runTiming{
-					run:     t1.Sub(t0),
-					analyze: time.Since(t1),
-					records: int(res.Counters.Total - res.Counters.Dropped),
-					dropped: res.Counters.Dropped,
-				}
-				if bench != nil {
-					runtime.ReadMemStats(&m1)
-					timings[i].mallocs = m1.Mallocs - m0.Mallocs
-					timings[i].allocBytes = m1.TotalAlloc - m0.TotalAlloc
-				}
+				counters[i] = res.Counters
 			}
 		}()
 	}
@@ -294,27 +267,17 @@ func computeExperiments(seed int64, dur sim.Duration, workers int, spill bool, b
 	}
 	close(next)
 	wg.Wait()
-	wall := time.Since(start)
-	var phaseMallocs, phaseBytes uint64
-	if bench != nil {
-		var phase1 runtime.MemStats
-		runtime.ReadMemStats(&phase1)
-		phaseMallocs = phase1.Mallocs - phase0.Mallocs
-		phaseBytes = phase1.TotalAlloc - phase0.TotalAlloc
-	}
 	for i, e := range errs {
 		if e != nil {
 			return set, e
 		}
-		if timings[i].dropped > 0 {
+		if c := counters[i]; c.Dropped > 0 {
 			set.dropped = append(set.dropped, droppedRun{
 				os: specs[i].OS, name: specs[i].Name,
-				dropped: timings[i].dropped,
-				total:   timings[i].dropped + uint64(timings[i].records),
+				dropped: c.Dropped, total: c.Total,
 			})
 		}
 	}
-	bench.recordCompute(specs, timings, workers, wall, phaseMallocs, phaseBytes)
 	return set, nil
 }
 
@@ -327,75 +290,59 @@ func header(s string) { headerTo(os.Stdout, s) }
 // writeFigures prints Tables 1-3 and Figures 1-11 from a computed set. It
 // is deterministic: same set in, same bytes out, regardless of how the set
 // was computed.
-func writeFigures(w io.Writer, s experimentSet, bench *benchReport) {
+func writeFigures(w io.Writer, s experimentSet) {
 	names := s.names
 
-	bench.section("table-1-linux-summary", func() {
-		headerTo(w, "Table 1: Linux trace summary")
-		printSummaries(w, s.linux, false)
-	})
-	bench.section("table-2-vista-summary", func() {
-		headerTo(w, "Table 2: Vista trace summary (timers clustered by call site, as Section 3.3)")
-		printSummaries(w, s.vista, true)
-	})
+	headerTo(w, "Table 1: Linux trace summary")
+	printSummaries(w, s.linux, false)
+	headerTo(w, "Table 2: Vista trace summary (timers clustered by call site, as Section 3.3)")
+	printSummaries(w, s.vista, true)
 
-	bench.section("figure-1-desktop-rates", func() {
-		headerTo(w, "Figure 1: Timer usage frequency in Vista (90 s desktop trace)")
-		fmt.Fprint(w, analysis.RenderRates(s.desktopRates))
-	})
+	headerTo(w, "Figure 1: Timer usage frequency in Vista (90 s desktop trace)")
+	fmt.Fprint(w, analysis.RenderRates(s.desktopRates))
 
-	bench.section("figure-2-class-shares", func() {
-		headerTo(w, "Figure 2: Common Linux timer usage patterns (% of timers)")
-		shares := make([]analysis.ClassShares, len(s.linux))
-		for i := range s.linux {
-			shares[i] = s.linux[i].shares
-		}
-		fmt.Fprint(w, analysis.RenderClassShares(names, shares))
-	})
+	headerTo(w, "Figure 2: Common Linux timer usage patterns (% of timers)")
+	shares := make([]analysis.ClassShares, len(s.linux))
+	for i := range s.linux {
+		shares[i] = s.linux[i].shares
+	}
+	fmt.Fprint(w, analysis.RenderClassShares(names, shares))
 
-	bench.section("figures-3-7-value-histograms", func() {
-		headerTo(w, "Figure 3: Common Linux timer values (>=2%)")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
-		}
-		headerTo(w, "Figure 4: X server select countdown (idle trace)")
-		fmt.Fprint(w, analysis.RenderSeries(s.linux[0].series, s.dur))
-		headerTo(w, "Figure 5: Common Linux values, X/icewm filtered, countdowns collapsed")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesF))
-		}
-		headerTo(w, "Figure 6: Common Linux syscall (user-space) timer values")
-		for _, a := range s.linux {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesU))
-		}
-		headerTo(w, "Figure 7: Common Vista timeout values")
-		for _, a := range s.vista {
-			fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
-		}
-	})
+	headerTo(w, "Figure 3: Common Linux timer values (>=2%)")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
+	}
+	headerTo(w, "Figure 4: X server select countdown (idle trace)")
+	fmt.Fprint(w, analysis.RenderSeries(s.linux[0].series, s.dur))
+	headerTo(w, "Figure 5: Common Linux values, X/icewm filtered, countdowns collapsed")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesF))
+	}
+	headerTo(w, "Figure 6: Common Linux syscall (user-space) timer values")
+	for _, a := range s.linux {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.valuesU))
+	}
+	headerTo(w, "Figure 7: Common Vista timeout values")
+	for _, a := range s.vista {
+		fmt.Fprintf(w, "-- %s --\n%s", a.name, analysis.RenderValues(a.values))
+	}
 
-	bench.section("figures-8-11-scatter", func() {
-		figNames := []string{"Figure 8 (Idle)", "Figure 9 (Skype)", "Figure 10 (Firefox)", "Figure 11 (Webserver)"}
-		for i := range names {
-			headerTo(w, figNames[i]+": expiry/cancelation time vs timeout value")
-			fmt.Fprintf(w, "-- Linux --\n%s", analysis.RenderScatter(s.linux[i].scatter))
-			fmt.Fprintf(w, "-- Vista --\n%s", analysis.RenderScatter(s.vista[i].scatter))
-		}
-	})
+	figNames := []string{"Figure 8 (Idle)", "Figure 9 (Skype)", "Figure 10 (Firefox)", "Figure 11 (Webserver)"}
+	for i := range names {
+		headerTo(w, figNames[i]+": expiry/cancelation time vs timeout value")
+		fmt.Fprintf(w, "-- Linux --\n%s", analysis.RenderScatter(s.linux[i].scatter))
+		fmt.Fprintf(w, "-- Vista --\n%s", analysis.RenderScatter(s.vista[i].scatter))
+	}
 
-	bench.section("table-3-origins", func() {
-		headerTo(w, "Table 3: Origins and classification of frequent Linux timeout values")
-		fmt.Fprint(w, analysis.RenderOrigins(mergeOrigins(s.linux)))
-	})
+	headerTo(w, "Table 3: Origins and classification of frequent Linux timeout values")
+	fmt.Fprint(w, analysis.RenderOrigins(mergeOrigins(s.linux)))
 }
 
 func main() {
 	os.Exit(run())
 }
 
-// run is main minus os.Exit, so the pprof writers below always flush. The
-// profiles wrap every mode: the CPU profile starts before the dispatch and
-// the allocation profile is written whatever the mode returns.
+// run is main minus os.Exit, so the pprof writers in runSet always flush.
 func run() int {
 	flag.Parse()
 	if *versionFl {
@@ -404,6 +351,21 @@ func run() int {
 	}
 	if *listFl {
 		return runList()
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return runSet(set)
+}
+
+// runSet runs the mode that the set flags select, or exits 2 before
+// anything runs if it does not read one of them. The profiles wrap every
+// mode: the CPU profile starts before the mode runs and the allocation
+// profile is written whatever the mode returns.
+func runSet(set map[string]bool) int {
+	m, err := selectMode(set)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 2
 	}
 	if *cpuproFl != "" {
 		f, err := os.Create(*cpuproFl)
@@ -421,7 +383,7 @@ func run() int {
 			f.Close()
 		}()
 	}
-	code := runMode()
+	code := m.run()
 	if *memproFl != "" {
 		if err := writeMemProfile(*memproFl); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -memprofile: %v\n", err)
@@ -445,19 +407,6 @@ func writeMemProfile(path string) error {
 	return f.Close()
 }
 
-// runMode runs the mode the flags select and returns its exit code.
-func runMode() int {
-	switch {
-	case *serveBenchFl:
-		return runServeBench()
-	case controlMode():
-		return runControl()
-	case *fleetFl:
-		return runFleet()
-	}
-	return runExperiments()
-}
-
 // runExperiments regenerates the paper's tables and figures.
 func runExperiments() int {
 	dur := sim.FromStd(*durFlag)
@@ -467,336 +416,33 @@ func runExperiments() int {
 	cfg := workloads.Config{Seed: *seedFlag, Duration: dur}
 	fmt.Printf("timerstudy experiments: %v virtual per trace, seed %d\n", dur, *seedFlag)
 
-	var bench *benchReport
-	if *benchFl != "" {
-		bench = &benchReport{Config: benchConfig{
-			Seed:            *seedFlag,
-			VirtualPerTrace: dur.String(),
-			Quick:           *quick,
-			Workers:         *workersFl,
-			GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		}}
-	}
-
-	set, err := computeExperiments(*seedFlag, dur, *workersFl, *spillFl, bench)
+	set, err := computeExperiments(*seedFlag, dur, *workersFl, *spillFl)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
 	}
-	writeFigures(os.Stdout, set, bench)
+	writeFigures(os.Stdout, set)
 	if warnDropped(os.Stderr, set) && *strictFl {
 		fmt.Fprintln(os.Stderr, "experiments: -strict: trace records were dropped")
 		return 1
 	}
 
-	bench.section("section-3.2-overhead", func() {
-		header("Section 3.2: instrumentation overhead")
-		overheadExperiment(cfg)
-	})
-	bench.section("section-2.2.2-layers", func() {
-		header("Section 2.2.2: layered timeouts (open a file share)")
-		layersExperiment()
-	})
-	bench.section("section-5.1-adaptive", func() {
-		header("Section 5.1: adaptive timeouts vs the fixed 30 s")
-		adaptiveExperiment()
-	})
-	bench.section("section-5.3-coalescing", func() {
-		header("Section 5.3: slack windows, round_jiffies, dynticks vs CPU wakeups")
-		coalescingExperiment()
-	})
-	bench.section("section-5.2-relations", func() {
-		header("Section 5.2: timer relations inferred from the webserver trace")
-		fmt.Print(analysis.RenderRelations(set.relations))
-	})
-	bench.section("section-5.5-dispatcher", func() {
-		header("Section 5.5: timers merged into the CPU dispatcher")
-		dispatcherExperiment()
-	})
-	bench.section("related-work-soft-timers", func() {
-		header("Related work: soft timers (Aron & Druschel) on this substrate")
-		softTimerExperiment()
-	})
-
-	if bench != nil {
-		bench.section("stream-codec-bench", func() {
-			bench.Stream = streamBench()
-		})
-		if err := bench.writeFile(*benchFl); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", *benchFl, err)
-			return 1
-		}
-	}
+	header("Section 3.2: instrumentation overhead")
+	overheadExperiment(cfg)
+	header("Section 2.2.2: layered timeouts (open a file share)")
+	layersExperiment()
+	header("Section 5.1: adaptive timeouts vs the fixed 30 s")
+	adaptiveExperiment()
+	header("Section 5.3: slack windows, round_jiffies, dynticks vs CPU wakeups")
+	coalescingExperiment()
+	header("Section 5.2: timer relations inferred from the webserver trace")
+	fmt.Print(analysis.RenderRelations(set.relations))
+	header("Section 5.5: timers merged into the CPU dispatcher")
+	dispatcherExperiment()
+	header("Related work: soft timers (Aron & Druschel) on this substrate")
+	softTimerExperiment()
 	return 0
 }
-
-// ---------------------------------------------------------------------------
-// Bench report: machine-readable wall-clock timings (BENCH_experiments.json).
-
-type runTiming struct {
-	run        time.Duration
-	analyze    time.Duration
-	records    int // stored (analyzed) records
-	dropped    uint64
-	mallocs    uint64
-	allocBytes uint64
-}
-
-type benchConfig struct {
-	Seed            int64  `json:"seed"`
-	VirtualPerTrace string `json:"virtual_per_trace"`
-	Quick           bool   `json:"quick"`
-	Workers         int    `json:"workers"` // 0 = GOMAXPROCS
-	GOMAXPROCS      int    `json:"gomaxprocs"`
-	// AllocNote flags when per-run alloc columns are upper bounds: the
-	// runtime counters are process-global, so with workers > 1 each run's
-	// delta absorbs its neighbours'. Totals are exact either way.
-	AllocNote string `json:"alloc_note,omitempty"`
-}
-
-type benchRun struct {
-	OS            string  `json:"os"`
-	Workload      string  `json:"workload"`
-	Virtual       string  `json:"virtual"`
-	RunMS         float64 `json:"run_ms"`
-	AnalyzeMS     float64 `json:"analyze_ms"`
-	Records       int     `json:"records"`
-	RecordsPerSec float64 `json:"records_per_sec"` // analysis throughput
-	// Allocs/AllocMB cover run+analyze together (one ReadMemStats delta);
-	// AllocsPerRecord = Allocs / Records, the figure the zero-allocation
-	// engine work drives toward zero.
-	Allocs          uint64  `json:"allocs"`
-	AllocMB         float64 `json:"alloc_mb"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-}
-
-type benchSection struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-type benchTotals struct {
-	// ComputeWallMS is the observed wall-clock of the parallel run+analyze
-	// phase; RunWallSumMS is what the same work costs serially (sum over
-	// runs). Their ratio estimates the fan-out speedup on this host — but
-	// only when workers <= GOMAXPROCS: an oversubscribed pool time-slices,
-	// each run's wall then includes its neighbours' work, and the ratio
-	// overstates. SpeedupVsSerial is 0 in that case.
-	ComputeWallMS   float64 `json:"compute_wall_ms"`
-	RunWallSumMS    float64 `json:"run_wall_sum_ms"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial_estimate,omitempty"`
-	RecordsAnalyzed int     `json:"records_analyzed"`
-	RecordsPerSec   float64 `json:"records_per_sec"`
-	// Whole-compute-phase allocation totals from one ReadMemStats delta
-	// around the pool: exact at any worker count.
-	Allocs          uint64  `json:"allocs"`
-	AllocMB         float64 `json:"alloc_mb"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-}
-
-// benchStream reports v2 stream-codec and analysis throughput, measured
-// over an in-memory synthetic trace so disk speed doesn't pollute the
-// numbers.
-type benchStream struct {
-	Records         int     `json:"records"`
-	Bytes           int     `json:"bytes"`
-	EncodeMS        float64 `json:"encode_ms"`
-	DecodeMS        float64 `json:"decode_ms"`
-	EncodeMBPerSec  float64 `json:"encode_mb_per_sec"`
-	DecodeMBPerSec  float64 `json:"decode_mb_per_sec"`
-	EncodeRecPerSec float64 `json:"encode_records_per_sec"`
-	DecodeRecPerSec float64 `json:"decode_records_per_sec"`
-	// Analyze throughput runs the full artifact pipeline over the encoded
-	// stream: serial is Pipeline.Run, parallel is Pipeline.RunParallel at
-	// GOMAXPROCS, and the scaling map records MB/s per worker count
-	// (keys "1", "2", ...). Parallel speedup is host-dependent: on a
-	// single-CPU machine parallel equals serial.
-	AnalyzeMBPerSec         float64            `json:"analyze_mb_per_sec"`
-	AnalyzeRecPerSec        float64            `json:"analyze_records_per_sec"`
-	AnalyzeParallelMBPerSec float64            `json:"analyze_parallel_mb_per_sec"`
-	AnalyzeWorkerScaling    map[string]float64 `json:"analyze_worker_mb_per_sec"`
-}
-
-type benchReport struct {
-	Config   benchConfig    `json:"config"`
-	Runs     []benchRun     `json:"runs"`
-	Sections []benchSection `json:"sections"`
-	Stream   *benchStream   `json:"stream,omitempty"`
-	Totals   benchTotals    `json:"totals"`
-}
-
-// streamBench encodes a synthetic trace through StreamWriter, replays it
-// through StreamReader, and runs the artifact pipeline over it serially and
-// at a worker sweep, reporting throughput for every stage. Origins are
-// interned and the buffer pre-sized before the encode clock starts, so
-// encode_mb_per_sec measures the codec, not fmt.Sprintf or bytes.Buffer
-// regrowth.
-func streamBench() *benchStream {
-	const n = 1 << 21
-	names := make([]string, 64)
-	for i := range names {
-		names[i] = fmt.Sprintf("bench/origin-%d", i)
-	}
-	var buf bytes.Buffer
-	buf.Grow(n*trace.RecordSize + n/64) // records + ample frame/footer headroom
-	sw := trace.NewStreamWriter(&buf)
-	origins := make([]uint32, len(names))
-	for i, name := range names {
-		origins[i] = sw.Origin(name)
-	}
-	r := trace.Record{Op: trace.OpSet, Timeout: int64(10 * sim.Millisecond)}
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		r.T = sim.Time(i)
-		r.TimerID = uint64(i % 1024)
-		r.Origin = origins[i%len(origins)]
-		sw.Log(r)
-	}
-	if err := sw.Close(); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	enc := time.Since(t0)
-
-	t0 = time.Now()
-	sr, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		panic(err)
-	}
-	got := 0
-	if err := sr.ForEach(func(trace.Record) { got++ }); err != nil || got != n {
-		panic(fmt.Sprintf("stream bench replay: %d records, %v", got, err))
-	}
-	dec := time.Since(t0)
-
-	// Analysis throughput over the same encoded stream, with the full
-	// artifact configuration the evaluation runs use.
-	sOpts := analysis.DefaultScatterOptions()
-	p := analysis.Pipeline{
-		Values:        analysis.ValueOptions{JiffyBinKernel: true, MinSharePercent: 2},
-		Scatter:       &sOpts,
-		SeriesProcess: "Xorg",
-		OriginMinSets: 50,
-	}
-	analyzePass := func(workers int) time.Duration {
-		sr, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			panic(err)
-		}
-		t0 := time.Now()
-		if workers == 0 {
-			_, err = p.Run(sr)
-		} else {
-			_, err = p.RunParallel(sr, workers)
-		}
-		if err != nil {
-			panic(err)
-		}
-		return time.Since(t0)
-	}
-	mb := float64(buf.Len()) / (1 << 20)
-	serial := analyzePass(0)
-	maxWorkers := runtime.GOMAXPROCS(0)
-	parallel := analyzePass(maxWorkers)
-	scaling := map[string]float64{}
-	for _, w := range []int{1, 2, 4, maxWorkers} {
-		key := fmt.Sprintf("%d", w)
-		if _, done := scaling[key]; done {
-			continue
-		}
-		scaling[key] = mb / analyzePass(w).Seconds()
-	}
-
-	return &benchStream{
-		Records:                 n,
-		Bytes:                   buf.Len(),
-		EncodeMS:                ms(enc),
-		DecodeMS:                ms(dec),
-		EncodeMBPerSec:          mb / enc.Seconds(),
-		DecodeMBPerSec:          mb / dec.Seconds(),
-		EncodeRecPerSec:         float64(n) / enc.Seconds(),
-		DecodeRecPerSec:         float64(n) / dec.Seconds(),
-		AnalyzeMBPerSec:         mb / serial.Seconds(),
-		AnalyzeRecPerSec:        float64(n) / serial.Seconds(),
-		AnalyzeParallelMBPerSec: mb / parallel.Seconds(),
-		AnalyzeWorkerScaling:    scaling,
-	}
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// section times fn and records it; with a nil receiver it just runs fn.
-func (b *benchReport) section(name string, fn func()) {
-	if b == nil {
-		fn()
-		return
-	}
-	t0 := time.Now()
-	fn()
-	b.Sections = append(b.Sections, benchSection{Name: name, WallMS: ms(time.Since(t0))})
-}
-
-// recordCompute folds the per-spec timings of one computeExperiments call
-// into the report. Nil-safe.
-func (b *benchReport) recordCompute(specs []workloads.Spec, timings []runTiming, workers int, wall time.Duration, phaseMallocs, phaseBytes uint64) {
-	if b == nil {
-		return
-	}
-	b.Config.Workers = workers
-	if workers != 1 {
-		b.Config.AllocNote = "per-run allocs/alloc_mb are upper bounds (global counters, parallel workers); totals are exact"
-	}
-	var sum time.Duration
-	var records int
-	for i, s := range specs {
-		t := timings[i]
-		sum += t.run + t.analyze
-		records += t.records
-		perSec := 0.0
-		if t.analyze > 0 {
-			perSec = float64(t.records) / t.analyze.Seconds()
-		}
-		perRecord := 0.0
-		if t.records > 0 {
-			perRecord = float64(t.mallocs) / float64(t.records)
-		}
-		b.Runs = append(b.Runs, benchRun{
-			OS:              s.OS,
-			Workload:        s.Name,
-			Virtual:         s.Cfg.Duration.String(),
-			RunMS:           ms(t.run),
-			AnalyzeMS:       ms(t.analyze),
-			Records:         t.records,
-			RecordsPerSec:   perSec,
-			Allocs:          t.mallocs,
-			AllocMB:         float64(t.allocBytes) / (1 << 20),
-			AllocsPerRecord: perRecord,
-		})
-	}
-	b.Totals.ComputeWallMS = ms(wall)
-	b.Totals.RunWallSumMS = ms(sum)
-	if wall > 0 && workers <= runtime.GOMAXPROCS(0) {
-		b.Totals.SpeedupVsSerial = float64(sum) / float64(wall)
-	}
-	b.Totals.RecordsAnalyzed = records
-	if wall > 0 {
-		b.Totals.RecordsPerSec = float64(records) / wall.Seconds()
-	}
-	b.Totals.Allocs = phaseMallocs
-	b.Totals.AllocMB = float64(phaseBytes) / (1 << 20)
-	if records > 0 {
-		b.Totals.AllocsPerRecord = float64(phaseMallocs) / float64(records)
-	}
-}
-
-func (b *benchReport) writeFile(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ---------------------------------------------------------------------------
 
 // dispatcherExperiment contrasts the observed poll-loop idiom with declared
 // dispatch requirements (the Section 5.5 design).

@@ -22,12 +22,12 @@ const goldenDuration = 30 * sim.Second
 // serially or on a saturated pool.
 func TestParallelMatchesSerial(t *testing.T) {
 	render := func(workers int) []byte {
-		set, err := computeExperiments(1, goldenDuration, workers, false, nil)
+		set, err := computeExperiments(1, goldenDuration, workers, false)
 		if err != nil {
 			t.Fatalf("computeExperiments: %v", err)
 		}
 		var buf bytes.Buffer
-		writeFigures(&buf, set, nil)
+		writeFigures(&buf, set)
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
@@ -43,51 +43,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBenchReportShape checks the -bench recorder captures one entry per
-// evaluation trace plus per-section timings, with sane totals.
-func TestBenchReportShape(t *testing.T) {
-	bench := &benchReport{}
-	set, err := computeExperiments(1, goldenDuration, 2, false, bench)
-	if err != nil {
-		t.Fatalf("computeExperiments: %v", err)
-	}
-	writeFigures(&bytes.Buffer{}, set, bench)
-
-	if len(bench.Runs) != 10 {
-		t.Fatalf("runs = %d, want 10 (9 evaluation traces + webserver relations)", len(bench.Runs))
-	}
-	for _, r := range bench.Runs {
-		if r.Records <= 0 || r.RunMS < 0 || r.AnalyzeMS < 0 {
-			t.Fatalf("implausible run entry: %+v", r)
-		}
-		if r.Allocs == 0 || r.AllocMB <= 0 || r.AllocsPerRecord <= 0 {
-			t.Fatalf("alloc columns not filled: %+v", r)
-		}
-	}
-	if bench.Totals.Allocs == 0 || bench.Totals.AllocMB <= 0 || bench.Totals.AllocsPerRecord <= 0 {
-		t.Fatalf("alloc totals not filled: %+v", bench.Totals)
-	}
-	if bench.Config.AllocNote == "" {
-		t.Fatal("workers=2 must flag per-run alloc columns as upper bounds")
-	}
-	if len(bench.Sections) == 0 {
-		t.Fatalf("no sections recorded")
-	}
-	if bench.Totals.ComputeWallMS <= 0 || bench.Totals.RunWallSumMS <= 0 {
-		t.Fatalf("totals not filled: %+v", bench.Totals)
-	}
-	if bench.Totals.RecordsAnalyzed <= 0 {
-		t.Fatalf("records not summed: %+v", bench.Totals)
-	}
-}
-
 // TestSpillMatchesMemory is the golden determinism test for the streaming
 // path: every table and figure must be byte-identical whether each trace is
 // analyzed from its in-memory buffer or spilled to a v2 file during the run
 // and replayed from disk.
 func TestSpillMatchesMemory(t *testing.T) {
 	render := func(spill bool) []byte {
-		set, err := computeExperiments(1, goldenDuration, 4, spill, nil)
+		set, err := computeExperiments(1, goldenDuration, 4, spill)
 		if err != nil {
 			t.Fatalf("computeExperiments(spill=%v): %v", spill, err)
 		}
@@ -95,7 +57,7 @@ func TestSpillMatchesMemory(t *testing.T) {
 			t.Fatalf("golden run dropped records (spill=%v)", spill)
 		}
 		var buf bytes.Buffer
-		writeFigures(&buf, set, nil)
+		writeFigures(&buf, set)
 		fmt.Fprint(&buf, analysis.RenderRelations(set.relations))
 		return buf.Bytes()
 	}
@@ -143,10 +105,13 @@ func TestWarnDropped(t *testing.T) {
 
 // TestProfilesInEveryMode: -cpuprofile and -memprofile wrap the mode
 // dispatch, so a fleet run (which returns before the experiments path)
-// still leaves both profiles behind.
+// still leaves both profiles behind. It calls runSet with the flags it sets,
+// as run does after flag.Visit: the test binary's own -test.* flags are set
+// too, and no mode reads those.
 func TestProfilesInEveryMode(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	set := map[string]bool{}
 	for name, v := range map[string]string{
 		"fleet": "true", "hosts": "4", "fleet-duration": "50ms", "fleet-workers": "1",
 		"cpuprofile": cpu, "memprofile": mem,
@@ -156,6 +121,7 @@ func TestProfilesInEveryMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { flag.Set(name, old) })
+		set[name] = true
 	}
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -164,7 +130,7 @@ func TestProfilesInEveryMode(t *testing.T) {
 	defer devnull.Close()
 	stdout := os.Stdout
 	os.Stdout = devnull
-	code := run()
+	code := runSet(set)
 	os.Stdout = stdout
 	if code != 0 {
 		t.Fatalf("fleet run exited %d", code)

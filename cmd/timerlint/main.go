@@ -19,8 +19,7 @@
 // -baseline FILE drops findings recorded in an accepted-debt baseline;
 // -write-baseline FILE records the current findings as that baseline.
 // -run selects a comma-separated subset of analyzers; -j caps loader
-// parallelism; -bench FILE merges the run's timing stats into a benchmark
-// JSON report under its "lint" key.
+// parallelism.
 //
 // Exit status is 0 when clean (warnings only count as clean under
 // -severity=error), 1 when findings were reported, 2 on a load or usage
@@ -28,11 +27,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"timerstudy/internal/lint"
 	"timerstudy/internal/version"
@@ -47,7 +44,6 @@ func main() {
 	severity := flag.String("severity", "warning", "minimum severity that fails the run: warning or error")
 	baseline := flag.String("baseline", "", "drop findings recorded in this baseline file")
 	writeBaseline := flag.String("write-baseline", "", "record current findings as the accepted-debt baseline and exit 0")
-	benchOut := flag.String("bench", "", "merge load/analyzer timing stats into this benchmark JSON file under the \"lint\" key")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: timerlint [flags] [./... | dir ...]\n")
@@ -69,7 +65,6 @@ func main() {
 		severity:      lint.Severity(*severity),
 		baseline:      *baseline,
 		writeBaseline: *writeBaseline,
-		benchOut:      *benchOut,
 	}, flag.Args()))
 }
 
@@ -81,7 +76,6 @@ type options struct {
 	severity      lint.Severity
 	baseline      string
 	writeBaseline string
-	benchOut      string
 }
 
 func run(opts options, args []string) int {
@@ -107,7 +101,6 @@ func run(opts options, args []string) int {
 		return 2
 	}
 
-	loadStart := time.Now()
 	var pkgs []*lint.Package
 	if opts.asPath != "" {
 		if len(args) != 1 || args[0] == "./..." {
@@ -136,11 +129,8 @@ func run(opts options, args []string) int {
 			pkgs = append(pkgs, p)
 		}
 	}
-	loadMS := float64(time.Since(loadStart).Nanoseconds()) / 1e6
 
-	runStart := time.Now()
-	ds, stats := lint.RunStats(loader, pkgs, analyzers)
-	runMS := float64(time.Since(runStart).Nanoseconds()) / 1e6
+	ds := lint.Run(loader, pkgs, analyzers)
 	lint.Relativize(loader.ModuleDir, ds)
 
 	if opts.writeBaseline != "" {
@@ -160,12 +150,6 @@ func run(opts options, args []string) int {
 		}
 		if dropped > 0 {
 			fmt.Fprintf(os.Stderr, "timerlint: %d baselined finding(s) suppressed\n", dropped)
-		}
-	}
-	if opts.benchOut != "" {
-		if err := mergeBenchStats(opts.benchOut, loadMS, runMS, opts.workers, len(pkgs), stats); err != nil {
-			fmt.Fprintln(os.Stderr, "timerlint:", err)
-			return 2
 		}
 	}
 
@@ -188,30 +172,4 @@ func run(opts options, args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// mergeBenchStats inserts the run's cost accounting under the "lint" key of
-// a benchmark JSON report (created if absent), preserving other keys.
-func mergeBenchStats(path string, loadMS, runMS float64, workers, pkgCount int, stats []lint.AnalyzerStat) error {
-	report := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	report["lint"] = map[string]any{
-		"load_wall_ms":  loadMS,
-		"run_wall_ms":   runMS,
-		"total_wall_ms": loadMS + runMS,
-		"workers":       workers,
-		"packages":      pkgCount,
-		"analyzers":     stats,
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

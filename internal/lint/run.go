@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzers returns the full analyzer suite in stable order.
@@ -42,48 +41,23 @@ func Select(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// AnalyzerStat records one analyzer's cost and yield over a run, for the
-// bench pipeline: analyzer time is tracked like every other phase.
-type AnalyzerStat struct {
-	Name     string  `json:"name"`
-	Findings int     `json:"findings"`
-	WallMS   float64 `json:"wall_ms"`
-}
-
 // Run applies the analyzers to the packages, filters suppressed findings,
 // reports malformed and unused suppression directives, and returns the
 // surviving diagnostics sorted by position.
 func Run(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := RunStats(fsetOwner, pkgs, analyzers)
-	return ds
-}
-
-// RunStats is Run plus per-analyzer cost/yield accounting, in analyzer order.
-func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStat) {
 	fset := fsetOwner.Fset()
-	stats := make([]AnalyzerStat, len(analyzers))
-	for i, a := range analyzers {
-		stats[i].Name = a.Name
-	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(fset, pkg.Files)
 		out = append(out, sup.malformed...)
 		var raw []Diagnostic
-		for i, a := range analyzers {
-			pass := &Pass{
+		for _, a := range analyzers {
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     fset,
 				Pkg:      pkg,
 				report:   func(d Diagnostic) { raw = append(raw, d) },
-			}
-			//lint:ignore wallclock analyzer self-timing measures host-process cost for the bench report, not simulated time
-			t0 := time.Now()
-			before := len(raw)
-			a.Run(pass)
-			//lint:ignore wallclock analyzer self-timing measures host-process cost for the bench report, not simulated time
-			stats[i].WallMS += float64(time.Since(t0).Nanoseconds()) / 1e6
-			stats[i].Findings += len(raw) - before
+			})
 		}
 		for _, d := range raw {
 			if sup.suppresses(d) {
@@ -112,9 +86,8 @@ func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 			}
 		}
 	}
-	// Suppressed findings still count toward per-analyzer yield above; the
-	// surviving set is what gates CI. Keep the output deterministically
-	// ordered by position regardless of package or analyzer order.
+	// Keep the output deterministically ordered by position regardless of
+	// package or analyzer order.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
 			return out[i].File < out[j].File
@@ -124,7 +97,7 @@ func RunStats(fsetOwner *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 		}
 		return out[i].Col < out[j].Col
 	})
-	return out, stats
+	return out
 }
 
 func analyzerKnown(analyzers []*Analyzer, name string) bool {

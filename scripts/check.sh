@@ -60,6 +60,29 @@ go test -run '^$' -fuzz 'FuzzDecodeCommands' -fuzztime=10s ./internal/control
 echo "== benchmark smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime=1x ./...
 
+echo "== perfbench: vet and unit tests (nested module) =="
+# perfbench is a module of its own, so the root's go build/vet/test ./...
+# never compile it. Build it here in run.sh's offline environment (build
+# cache under .bench_build/, no proxy, no toolchain download) so an internal
+# API change cannot break the benchmark unnoticed.
+bench_out="$PWD/.bench_build"
+bench_env=(GOCACHE="$bench_out/gocache" GOMODCACHE="$bench_out/gomod" GOPATH="$bench_out/gopath"
+	GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOENV=off GOWORK=off)
+(cd perfbench && env "${bench_env[@]}" go vet ./... && env "${bench_env[@]}" go test ./...)
+
+echo "== perfbench smoke (every workload, seed 1, 1 s; must report correct) =="
+# At seed 1 "correct" includes the committed paper-eval and fleet digests,
+# the serial==parallel fleet checks, the checkpoint-resume digest and
+# serve-live's quiesced==offline comparison.
+for workload in paper-eval fleet-64 fleet-1024 serve-live; do
+	result="$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+	if [[ "$result" != *'"correct":true'* ]]; then
+		echo "PERFBENCH SMOKE: $workload did not report correct: $result" >&2
+		exit 1
+	fi
+	echo "perfbench $workload correct"
+done
+
 echo "== timerlint (full analyzer suite) =="
 go run ./cmd/timerlint ./...
 
